@@ -44,6 +44,7 @@
 #                           10x; measurements land in BENCH_sampling.json;
 #                           the sampled side must digest identically twice)
 #  11. time-parallel gate  (one full-detail UCP run executed serial,
+#                           then through the internal/wpar executor
 #                           segmented at two worker counts, and through
 #                           a capture+restore checkpoint cycle — every
 #                           segmented digest byte-identical, all four
@@ -53,7 +54,8 @@
 #                           -segments 4 at -jobs 1 vs -jobs 8 and the
 #                           digest files must cmp-equal)
 #  11b. window-parallel gate (one sampled UCP run executed chain-serial,
-#                           window-parallel at two worker counts, through
+#                           then through the same executor per window at
+#                           two worker counts, through
 #                           a capture+restore checkpoint cycle, and
 #                           adaptively at both worker counts — every
 #                           window-parallel digest byte-identical, all 20
@@ -325,8 +327,8 @@ fi
 if want tpar; then
 step "time-parallel gate"
 # One full-detail UCP run on crypto01 executed five ways in one process
-# (serial, segmented w1, segmented wN, checkpoint capture, checkpoint
-# restore). Gated: segmented digests byte-identical across worker counts
+# (serial, then segmented through internal/wpar at w1 and wN, checkpoint
+# capture, checkpoint restore). Gated: segmented digests byte-identical across worker counts
 # and across the capture/restore cycle, 4 boundaries captured + 4
 # restored, boundary-warming IPC error < 2%. Scaling is gated only on
 # multi-core hosts; single-core runs carry a note in BENCH_tpar.json.
@@ -347,8 +349,9 @@ fi
 if want wpar; then
 step "window-parallel gate"
 # One sampled UCP run on crypto01 executed seven ways in one process
-# (chain-serial, window-parallel w1, window-parallel wN, checkpoint
-# capture, checkpoint restore, adaptive w1, adaptive wN). Gated:
+# (chain-serial, then per window through the same internal/wpar
+# executor as the time-parallel gate: w1, wN, checkpoint capture,
+# checkpoint restore, adaptive w1, adaptive wN). Gated:
 # window-parallel digests byte-identical across worker counts and
 # across the capture/restore cycle, all 20 window boundaries captured +
 # restored, the adaptive run stopping at the same window at both worker

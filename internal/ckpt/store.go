@@ -196,7 +196,7 @@ func (s *Store) storeDisk(key string, blob []byte) {
 
 // prune removes least-recently-verified checkpoint blobs until the
 // directory's .ckpt bytes fit within maxBytes. Boundary-checkpoint
-// capture (internal/tpar) writes one blob per segment boundary per
+// capture (internal/wpar) writes one blob per segment boundary per
 // distinct warm config, so an unbounded store grows with every sweep;
 // the bound turns it into an LRU tier. Concurrent writers both prune;
 // pruneMu keeps the walk-and-delete passes from interleaving, and a

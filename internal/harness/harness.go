@@ -29,14 +29,14 @@ type Options struct {
 	// and full-detail results hash to different runq cache keys, so the
 	// two kinds of sweep never contaminate each other's cache entries.
 	Sampling sim.SamplingConfig
-	// Segments > 1 runs every sweep job time-parallel. Full-detail
-	// sweeps split the measured region into that many boundary-warmed
-	// trace segments (internal/tpar) simulated concurrently and merged
-	// deterministically; Boundary tunes the per-boundary warming
-	// geometry (zero value: sim.DefaultBoundaryWarm). Sampled sweeps
-	// (Sampling.Enabled) instead shard per measured window
-	// (internal/wpar) — the window plan and boundary warm come from the
-	// sampling geometry and Boundary is ignored; the combination is
+	// Segments > 1 runs every sweep job time-parallel through the
+	// internal/wpar executor. Full-detail sweeps split the measured
+	// region into that many boundary-warmed trace segments simulated
+	// concurrently and reduced deterministically; Boundary tunes the
+	// per-boundary warming geometry (zero value:
+	// sim.DefaultBoundaryWarm). Sampled sweeps (Sampling.Enabled)
+	// instead shard per measured window — the window plan and boundary
+	// warm come from the sampling geometry and Boundary is ignored; the combination is
 	// validated by sim.Config.ValidateSegments. Like Sampling,
 	// parallel results hash to their own runq cache keys.
 	Segments int

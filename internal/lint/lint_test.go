@@ -156,10 +156,6 @@ func TestCommutativeAnnotationsAreShuffleTested(t *testing.T) {
 		"ucp/internal/stats.Histogram.Merge": true,
 		// stats.TestRunningMergeCommutes
 		"ucp/internal/stats.Running.Merge": true,
-		// tpar.TestAccumMergeCommutes
-		"ucp/internal/tpar.Accum.Merge": true,
-		// wpar.TestAccumMergeCommutes
-		"ucp/internal/wpar.Accum.Merge": true,
 	}
 	wd, err := os.Getwd()
 	if err != nil {

@@ -21,10 +21,9 @@ import (
 // The rule finds every merge-shaped method — named Merge or Add with
 // exactly one parameter of the receiver's own type — that is reachable
 // through the call graph from the result-aggregation packages
-// (internal/runq, internal/sim, internal/tpar — the time-parallel
-// segment merge — and internal/wpar — the window-parallel sampled
-// merge), and flags order-sensitive float accumulation in its body. The
-// escape hatch is the annotation
+// (internal/runq, internal/sim, and internal/wpar — the parallel
+// executor's span reduction), and flags order-sensitive float
+// accumulation in its body. The escape hatch is the annotation
 //
 //	//ucplint:commutative
 //
@@ -51,9 +50,6 @@ func newMergeOrderAnalyzer() *Analyzer {
 				}
 				if strings.HasSuffix(n.PkgPath, "internal/sim") {
 					return "sim aggregation", true
-				}
-				if strings.HasSuffix(n.PkgPath, "internal/tpar") {
-					return "tpar aggregation", true
 				}
 				if strings.HasSuffix(n.PkgPath, "internal/wpar") {
 					return "wpar aggregation", true

@@ -1,6 +1,6 @@
 // Package fixture exercises the mergeorder analyzer's wpar root: the
-// importpath directive plants it in internal/wpar, the window-parallel
-// sampled-merge package, so merge-shaped methods here sit on the
+// importpath directive plants it in internal/wpar, the parallel
+// executor's package, so merge-shaped methods here sit on the
 // cross-worker combine path even without a call edge from runq or sim.
 //
 //ucplint:importpath ucp/internal/wpar
@@ -23,7 +23,7 @@ func (a *winAccum) Merge(b *winAccum) {
 }
 
 // cellUnion is the correct shape: a disjoint index union with no
-// arithmetic at all, like wpar.Accum.Merge.
+// arithmetic at all, like the executor's per-index span slots.
 type cellUnion struct{ cells []*winAccum }
 
 // Merge folds b's cells into a; window sets are disjoint by construction.

@@ -27,7 +27,6 @@ import (
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
 	"ucp/internal/sim"
-	"ucp/internal/tpar"
 	"ucp/internal/trace"
 	"ucp/internal/wpar"
 )
@@ -45,16 +44,17 @@ type Job struct {
 	Warmup    uint64
 	Measure   uint64
 
-	// Segments > 1 runs the job time-parallel. Full-detail jobs split
-	// the measured region into that many trace segments (internal/tpar)
-	// simulated concurrently on the pool's shared segment gate and
-	// merged in segment order; sampled jobs (Config.Sampling.Enabled)
-	// instead shard per measured window (internal/wpar), where the
-	// window plan and boundary warm come from the sampling geometry and
-	// Segments is only the opt-in switch. Parallel results differ from
-	// serial ones (counter blocks become measured-region deltas and a
-	// bounded boundary-warming or window-independence error applies; see
-	// EXPERIMENTS.md), so the parallel mode is part of the cache key.
+	// Segments > 1 runs the job time-parallel through internal/wpar,
+	// its spans simulated concurrently on the pool's shared segment
+	// gate and reduced in span order. Full-detail jobs split the
+	// measured region into that many trace segments; sampled jobs
+	// (Config.Sampling.Enabled) instead shard per measured window,
+	// where the window plan and boundary warm come from the sampling
+	// geometry and Segments is only the opt-in switch. Parallel results
+	// differ from serial ones (counter blocks become measured-region
+	// deltas and a bounded boundary-warming or window-independence
+	// error applies; see EXPERIMENTS.md), so the parallel mode is part
+	// of the cache key.
 	// 0 and 1 are the serial engine.
 	Segments int
 	// Boundary overrides the boundary-warming geometry for segmented
@@ -522,15 +522,14 @@ func recoverRun(run func(Job, sim.ProgressFunc) (sim.Result, error), job Job, ho
 
 // simulate is the real job body: resolve the workload stream (shared
 // arena or per-job walker), apply the instruction budgets, and run the
-// machine — serially, or parallel when Job.Segments > 1 (per-segment
-// through tpar for full-detail jobs, per-window through wpar for
-// sampled ones) — with warm-checkpoint reuse when the pool has a store.
+// machine — serially, or through wpar when Job.Segments > 1
+// (per-segment for full-detail jobs, per-window for sampled ones) —
+// with warm-checkpoint reuse when the pool has a store.
 func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 	cfg := job.Config
 	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
 	budget := int(cfg.WarmupInsts+cfg.MeasureInsts) + 200_000
-	windowPar := job.Segments > 1 && cfg.Sampling.Enabled
-	timePar := job.Segments > 1 && !windowPar
+	parallel := job.Segments > 1
 
 	var (
 		newSource func() trace.Source
@@ -558,7 +557,7 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 		// budget: the stream prefix a checkpoint replays is independent
 		// of where the run's limit lies.
 		traceID = "profile:" + pk
-		if p.opts.UseArena || timePar || windowPar {
+		if p.opts.UseArena || parallel {
 			// Time-parallel jobs (segment- or window-sharded) always run
 			// over the shared arena, whatever Options.UseArena says:
 			// segment boundaries lean on the cursor's O(1) seek, and
@@ -573,24 +572,14 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 			newSource = func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
 		}
 	}
-	if windowPar {
-		// Sampled jobs shard per measured window: wpar derives the window
-		// plan and its boundary warm from the sampling geometry, so
-		// Job.Segments is only the opt-in switch and Job.Boundary is
-		// ignored (the key normalizes both away).
+	if parallel {
+		// Sampled jobs treat Job.Segments only as the opt-in switch and
+		// ignore Job.Boundary (the key normalizes both away): wpar plans
+		// their windows and boundary warm from the sampling geometry.
 		return wpar.Run(cfg, newSource, code, job.traceLabel(), wpar.Options{
-			Workers:     p.workers(),
-			Checkpoints: p.ckpts,
-			TraceID:     traceID,
-			Gate:        p.segGate,
-			Hook:        hook,
-		})
-	}
-	if timePar {
-		return tpar.Run(cfg, newSource, code, job.traceLabel(), tpar.Options{
 			Segments:    job.Segments,
-			Workers:     p.workers(),
 			Warm:        job.Boundary,
+			Workers:     p.workers(),
 			Checkpoints: p.ckpts,
 			TraceID:     traceID,
 			Gate:        p.segGate,

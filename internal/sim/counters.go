@@ -3,15 +3,20 @@ package sim
 import (
 	"fmt"
 	"reflect"
+
+	"ucp/internal/frontend"
+	"ucp/internal/uopcache"
 )
 
-// Counter-block arithmetic for the time-parallel merge path: segment
-// results carry measured-region deltas of the flat uint64 stats blocks
-// (frontend.Stats, uopcache.Stats, core.Stats, cache.Stats), and the
-// merge sums them back together. Both helpers walk the struct by
-// reflection so a newly added counter field is picked up automatically;
-// any non-uint64, non-struct field is a programming error and panics at
-// first use (the sim package's own tests exercise every block).
+// Counter-block arithmetic for measured-region deltas: span results
+// carry deltas of the flat uint64 stats blocks (frontend.Stats,
+// uopcache.Stats, core.Stats, cache.Stats), the parallel executor's
+// reducer sums them back together, and SetRates derives every run
+// mode's rate metrics from them. SubCounters and AddCounters walk the
+// struct by reflection so a newly added counter field is picked up
+// automatically; any non-uint64, non-struct field is a programming
+// error and panics at first use (the sim package's own tests exercise
+// every block).
 
 // SubCounters returns the field-wise difference b−a over every uint64
 // counter in T, recursing into nested structs (bpred.H2PStats inside
@@ -55,5 +60,26 @@ func addCounters(dst, src reflect.Value) {
 		}
 	default:
 		panic(fmt.Sprintf("sim: AddCounters: unsupported field kind %s in %s", src.Kind(), src.Type()))
+	}
+}
+
+// SetRates derives r's rate metrics — IPC, UopHitRate, SwitchPKI,
+// CondMPKI and PrefetchAccuracy — from r.Insts, r.Cycles and the
+// measured-region counter deltas fe and uop. The serial engine, the
+// sampled controller and the parallel executor's reducer all derive
+// their rates here, so the formulas cannot drift apart.
+func (r *Result) SetRates(fe frontend.Stats, uop uopcache.Stats) {
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Insts) / float64(r.Cycles)
+	}
+	if fetched := fe.UopsFromUopCache + fe.UopsFromDecode; fetched > 0 {
+		r.UopHitRate = float64(fe.UopsFromUopCache) / float64(fetched)
+	}
+	if r.Insts > 0 {
+		r.SwitchPKI = float64(fe.ModeSwitches) / float64(r.Insts) * 1000
+		r.CondMPKI = float64(fe.CondMispredicts) / float64(r.Insts) * 1000
+	}
+	if uop.PrefetchInserts > 0 {
+		r.PrefetchAccuracy = float64(uop.PrefetchUsed) / float64(uop.PrefetchInserts)
 	}
 }

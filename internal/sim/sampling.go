@@ -6,8 +6,10 @@ import (
 
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
+	"ucp/internal/frontend"
 	"ucp/internal/stats"
 	"ucp/internal/trace"
+	"ucp/internal/uopcache"
 )
 
 // This file is the sampled simulation mode (SMARTS-style): instead of
@@ -387,6 +389,31 @@ type SampledStats struct {
 	TargetMet    bool
 }
 
+// Finish completes st from its per-window observations: the Student-t
+// 95% intervals over WindowIPC and WindowMPKI and, when the geometry s
+// is adaptive, the provenance fields (budget is the fixed schedule's
+// window count, targetMet reports an adaptive stop). The serial
+// controller and the parallel executor both summarize here.
+func (st *SampledStats) Finish(s SamplingConfig, budget int, targetMet bool) {
+	if s.Adaptive() {
+		st.TargetCI = s.TargetCI
+		st.WindowBudget = budget
+		st.TargetMet = targetMet
+	}
+	st.IPCMean, st.IPCCI95 = finiteCI95(st.WindowIPC)
+	st.MPKIMean, st.MPKICI95 = finiteCI95(st.WindowMPKI)
+}
+
+// finiteCI95 is stats.CI95 with the undefined (+Inf) half-width of
+// fewer than two windows stored as 0, keeping Result JSON-serializable.
+func finiteCI95(xs []float64) (mean, half float64) {
+	mean, half = stats.CI95(xs)
+	if math.IsInf(half, 1) {
+		half = 0
+	}
+	return mean, half
+}
+
 // machineWarmer adapts the machine's memory hierarchy to trace.Warmer
 // for the warming-skip tier. Ideal always-hit frontends never touch the
 // L1I on the demand path, so the I-side warm is gated the same way.
@@ -465,9 +492,8 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		streamAcc, refillAcc *stats.Histogram
 		ipcs, mpkis          []float64
 		sumInsts, sumCycles  uint64
-		dUopHit, dDecode     uint64
-		dSwitch, dMispred    uint64
-		dPfIns, dPfUsed      uint64
+		dFE                  frontend.Stats
+		dUop                 uopcache.Stats
 	)
 
 	// Warmup region: fast-forwarded entirely (bounded functional
@@ -532,19 +558,16 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 
 		wInsts := b.insts - a.insts
 		wCycles := b.cycles - a.cycles
+		wFE := SubCounters(a.fe, b.fe)
 		sumInsts += wInsts
 		sumCycles += wCycles
-		dUopHit += b.fe.UopsFromUopCache - a.fe.UopsFromUopCache
-		dDecode += b.fe.UopsFromDecode - a.fe.UopsFromDecode
-		dSwitch += b.fe.ModeSwitches - a.fe.ModeSwitches
-		dMispred += b.fe.CondMispredicts - a.fe.CondMispredicts
-		dPfIns += b.uop.PrefetchInserts - a.uop.PrefetchInserts
-		dPfUsed += b.uop.PrefetchUsed - a.uop.PrefetchUsed
+		AddCounters(&dFE, wFE)
+		AddCounters(&dUop, SubCounters(a.uop, b.uop))
 		if wCycles > 0 {
 			ipcs = append(ipcs, float64(wInsts)/float64(wCycles))
 		}
 		if wInsts > 0 {
-			mpkis = append(mpkis, float64(b.fe.CondMispredicts-a.fe.CondMispredicts)/float64(wInsts)*1000)
+			mpkis = append(mpkis, float64(wFE.CondMispredicts)/float64(wInsts)*1000)
 		}
 		// Detach the window's histograms into the accumulators before
 		// the drain can pollute them with out-of-window samples.
@@ -584,46 +607,22 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		WindowIPC:     ipcs,
 		WindowMPKI:    mpkis,
 	}
-	if adaptive {
-		sampled.TargetCI = s.TargetCI
-		sampled.WindowBudget = budget
-		sampled.TargetMet = targetMet
-	}
-	sampled.IPCMean, sampled.IPCCI95 = stats.CI95(ipcs)
-	sampled.MPKIMean, sampled.MPKICI95 = stats.CI95(mpkis)
-	if math.IsInf(sampled.IPCCI95, 1) {
-		sampled.IPCCI95 = 0
-	}
-	if math.IsInf(sampled.MPKICI95, 1) {
-		sampled.MPKICI95 = 0
-	}
+	sampled.Finish(s, budget, targetMet)
 
 	r := Result{
-		Name:    cfg.Name,
-		Trace:   traceName,
-		Insts:   sumInsts,
-		Cycles:  sumCycles,
-		Sampled: sampled,
+		Name:       cfg.Name,
+		Trace:      traceName,
+		Insts:      sumInsts,
+		Cycles:     sumCycles,
+		FE:         end.fe,
+		Uop:        end.uop,
+		UCP:        end.ucp,
+		L1I:        end.l1i,
+		StreamLens: streamAcc,
+		RefillLat:  refillAcc,
+		Sampled:    sampled,
 	}
-	if sumCycles > 0 {
-		r.IPC = float64(sumInsts) / float64(sumCycles)
-	}
-	if fetched := dUopHit + dDecode; fetched > 0 {
-		r.UopHitRate = float64(dUopHit) / float64(fetched)
-	}
-	if sumInsts > 0 {
-		r.SwitchPKI = float64(dSwitch) / float64(sumInsts) * 1000
-		r.CondMPKI = float64(dMispred) / float64(sumInsts) * 1000
-	}
-	if dPfIns > 0 {
-		r.PrefetchAccuracy = float64(dPfUsed) / float64(dPfIns)
-	}
-	r.FE = end.fe
-	r.Uop = end.uop
-	r.UCP = end.ucp
-	r.L1I = end.l1i
-	r.StreamLens = streamAcc
-	r.RefillLat = refillAcc
+	r.SetRates(dFE, dUop)
 	if m.ucp != nil {
 		r.UCPStorageKB = m.ucp.StorageKB()
 	}

@@ -15,15 +15,16 @@ import (
 	"ucp/internal/uopcache"
 )
 
-// This file is the per-segment half of time-parallel simulation
-// (internal/tpar): one full-detail run is split into N contiguous spans
-// of its measured region, and each span is simulated independently on a
-// fresh machine whose boundary state is rebuilt by the same warming
-// pyramid the sampled mode uses (trace skip → BP-train skip →
-// cache-warm skip → functional commit → detailed warm). Because every
-// segment's outcome is a pure function of (config, trace, span,
-// warming geometry), segments can run concurrently on any number of
-// workers and merge into one byte-identical result.
+// This file is the per-span half of time-parallel simulation (the
+// internal/wpar executor): one run is split into contiguous spans of
+// its measured region — full-detail segments or sampled windows — and
+// each span is simulated independently on a fresh machine whose
+// boundary state is rebuilt by the same warming pyramid the sampled
+// mode uses (trace skip → BP-train skip → cache-warm skip → functional
+// commit → detailed warm). Because every span's outcome is a pure
+// function of (config, trace, span, warming geometry), spans can run
+// concurrently on any number of workers and reduce into one
+// byte-identical result.
 
 // BoundaryWarm is the warming geometry applied at each segment
 // boundary. All counts are instructions; the pyramid-nesting rules
@@ -123,8 +124,8 @@ type SegmentResult struct {
 	// checkpoints return the captured values, so a restored segment is
 	// indistinguishable from a cold one here too); DetailedInsts counts
 	// everything cycle-accurately committed (boundary warm + measured
-	// span) — the window-parallel merge sums it into
-	// SampledStats.DetailedInsts.
+	// span) — the parallel executor sums it into
+	// SampledStats.DetailedInsts for sampled runs.
 	SkippedInsts  uint64
 	FFInsts       uint64
 	DetailedInsts uint64

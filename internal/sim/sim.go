@@ -177,9 +177,9 @@ func (c Config) Validate() error {
 // time-parallel segment request with this config — ucpsim, experiments,
 // and the executors all consult it instead of hand-rolling (and
 // drifting) their own rejection messages. segments <= 1 is always the
-// serial engine. segments > 1 on a full-detail config is internal/tpar;
-// on a sampled config it is internal/wpar, whose per-window boundary
-// warm is derived from the sampling geometry (SamplingConfig's
+// serial engine. segments > 1 runs the internal/wpar executor: per
+// segment on a full-detail config, per measured window on a sampled
+// config, whose per-window boundary warm is derived from the sampling geometry (SamplingConfig's
 // BoundaryWarm method) — the only still-unvalidated combination is a
 // sampled geometry whose WarmInsts cannot satisfy the boundary warm's
 // floor, which is rejected here with the remediation spelled out.
@@ -228,13 +228,14 @@ type Result struct {
 	// for full-detail runs, so their digests are unchanged.
 	Sampled *SampledStats
 
-	// TimePar carries the time-parallel merge provenance (internal/tpar);
+	// TimePar carries the time-parallel span provenance (internal/wpar);
 	// nil for serial runs, so their digests are unchanged.
 	TimePar *TimeParStats
 }
 
-// TimeParStats reports how a time-parallel run was segmented and what
-// each segment measured. It is folded into the determinism digest, so
+// TimeParStats reports how a time-parallel run was split into spans
+// (full-detail segments or sampled windows) and what each span
+// measured. It is folded into the determinism digest, so
 // every field must be independent of worker count and scheduling —
 // checkpoint provenance (captured vs restored boundaries) deliberately
 // lives in the pool's CheckpointStats instead.
@@ -457,35 +458,19 @@ func RunHooked(cfg Config, src trace.Source, code core.CodeInfo, traceName strin
 }
 
 func buildResult(cfg Config, traceName string, m *Machine, a, b snapshot) Result {
-	insts := b.insts - a.insts
-	cycles := b.cycles - a.cycles
 	r := Result{
-		Name:   cfg.Name,
-		Trace:  traceName,
-		Insts:  insts,
-		Cycles: cycles,
+		Name:       cfg.Name,
+		Trace:      traceName,
+		Insts:      b.insts - a.insts,
+		Cycles:     b.cycles - a.cycles,
+		FE:         b.fe,
+		Uop:        b.uop,
+		UCP:        b.ucp,
+		L1I:        b.l1i,
+		StreamLens: m.fe.StreamLens,
+		RefillLat:  m.fe.RefillLat,
 	}
-	if cycles > 0 {
-		r.IPC = float64(insts) / float64(cycles)
-	}
-	fetched := (b.fe.UopsFromUopCache + b.fe.UopsFromDecode) - (a.fe.UopsFromUopCache + a.fe.UopsFromDecode)
-	if fetched > 0 {
-		r.UopHitRate = float64(b.fe.UopsFromUopCache-a.fe.UopsFromUopCache) / float64(fetched)
-	}
-	if insts > 0 {
-		r.SwitchPKI = float64(b.fe.ModeSwitches-a.fe.ModeSwitches) / float64(insts) * 1000
-		r.CondMPKI = float64(b.fe.CondMispredicts-a.fe.CondMispredicts) / float64(insts) * 1000
-	}
-	pi := b.uop.PrefetchInserts - a.uop.PrefetchInserts
-	if pi > 0 {
-		r.PrefetchAccuracy = float64(b.uop.PrefetchUsed-a.uop.PrefetchUsed) / float64(pi)
-	}
-	r.FE = b.fe
-	r.Uop = b.uop
-	r.UCP = b.ucp
-	r.L1I = b.l1i
-	r.StreamLens = m.fe.StreamLens
-	r.RefillLat = m.fe.RefillLat
+	r.SetRates(SubCounters(a.fe, b.fe), SubCounters(a.uop, b.uop))
 	if m.ucp != nil {
 		r.UCPStorageKB = m.ucp.StorageKB()
 	}

@@ -60,10 +60,9 @@ type JobSpec struct {
 	Profile trace.Profile `json:"profile"`
 	Warmup  uint64        `json:"warmup"`
 	Measure uint64        `json:"measure"`
-	// Segments > 1 asks the server to run the job time-parallel:
-	// per-segment (internal/tpar) with the given boundary-warm geometry
-	// for full-detail configs, per measured window (internal/wpar) for
-	// sampled ones — where the window plan comes from the sampling
+	// Segments > 1 asks the server to run the job time-parallel through
+	// internal/wpar: per segment with the given boundary-warm geometry
+	// for full-detail configs, per measured window for sampled ones — where the window plan comes from the sampling
 	// geometry and Boundary is ignored. Results are byte-identical
 	// whatever worker budget the server has.
 	Segments int              `json:"segments,omitempty"`

@@ -1,130 +1,181 @@
-// Package wpar runs one *sampled* simulation time-parallel: instead of
-// the serial SMARTS controller's chain (one machine alternating
-// fast-forward and measured windows end to end), every measured window
-// of the sampling schedule (sim.Config.SampleWindows) becomes an
-// independent unit of work — a sim.RunSegment over the window's
-// measured span, boundary-warmed by the same warming pyramid with the
-// horizons the sampling geometry already specifies
-// (sim.SamplingConfig.BoundaryWarm). Windows simulate concurrently on a
-// bounded worker pool over per-worker arena cursors, their boundary
-// states restore from content-addressed internal/ckpt checkpoints when
-// a store is attached (shared address space with internal/tpar's
-// segment boundaries), and the per-window results merge in window-index
-// order — so SampledStats, both confidence intervals, and the
-// determinism digest are byte-identical at every worker count.
+// Package wpar is the parallel executor for one simulation run: the run
+// is split into spans of its measured region, every span is simulated
+// independently (sim.RunSegment) on a fresh machine whose boundary
+// state is rebuilt by the warming pyramid — or restored from a
+// content-addressed internal/ckpt checkpoint when a store is attached —
+// the spans run concurrently on a bounded worker pool over per-span
+// arena cursors, and their results reduce in span-index order. The
+// combined sim.Result, determinism digest included, is therefore
+// byte-identical at every worker count, the same bar internal/runq's
+// job-level parallelism already clears.
 //
-// Adaptive mode (SamplingConfig.TargetCI) composes by speculation:
+// The two run modes differ only in how the spans are planned:
+//
+//   - Full-detail configs split the measured region into
+//     Options.Segments contiguous segments (Plan), boundary-warmed by
+//     Options.Warm. One segment runs the serial engine instead,
+//     byte-identical to sim.Run.
+//   - Sampled configs run one span per measured window of the sampling
+//     schedule (sim.Config.SampleWindows) at any Options.Segments,
+//     boundary-warmed with the horizons the sampling geometry already
+//     specifies (sim.SamplingConfig.BoundaryWarm). The reduction adds
+//     the SampledStats block the serial sampled controller reports.
+//
+// Adaptive sampling (SamplingConfig.TargetCI) composes by speculation:
 // workers dispatch windows ahead of the pinned group-sequential stop
-// schedule, a reorder buffer feeds completed windows to the shared stop
-// rule (sim.AdaptiveStop — the same type the serial controller runs)
+// schedule, completed windows feed the shared stop rule
+// (sim.AdaptiveStop — the same type the serial controller runs)
 // strictly in window-index order, and every speculatively simulated
 // window past the stop point is discarded deterministically. A parallel
 // adaptive run therefore stops at exactly the same window as a serial
 // one; the speculative windows cost wall-clock the stop saves anyway,
-// never correctness.
+// never correctness. A full-detail run has no stop rule: it runs every
+// span.
 //
-// The price is the window-independence error model: each window's start
-// state is rebuilt from the warming pyramid alone, whereas the serial
-// chain additionally carries converging long-history state (predictor
-// tables above the BP-warm horizon) across windows. EXPERIMENTS.md
-// quantifies the IPC delta; the check.sh window-parallel gate records
-// it per run in BENCH_wpar.json.
+// The price is a bounded boundary-warming error: each span's start
+// state comes from the warming pyramid alone, whereas a serial run
+// carries cycle-accurate history — and, in sampled mode, converging
+// long-history predictor state above the BP-warm horizon — across the
+// boundary. EXPERIMENTS.md quantifies the IPC delta; the check.sh
+// time-parallel and window-parallel gates record it per run in
+// BENCH_tpar.json and BENCH_wpar.json.
 package wpar
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 
-	"ucp/internal/cache"
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
-	"ucp/internal/frontend"
 	"ucp/internal/sim"
-	"ucp/internal/stats"
 	"ucp/internal/trace"
-	"ucp/internal/uopcache"
 )
 
-// Options configures one window-parallel sampled run. Unlike tpar there
-// is no segment count and no warming geometry here: the window schedule
-// and the boundary warm both come from the config's SamplingConfig, so
-// a window-parallel run measures exactly the windows the sampling
-// geometry promises.
+// Options configures one parallel run.
 type Options struct {
-	// Workers bounds concurrent window simulations (GOMAXPROCS when
+	// Segments is the number of full-detail segments (clamped to the
+	// measured instruction count; <= 1 runs the serial engine). Sampled
+	// configs ignore it: their windows are the spans.
+	Segments int
+	// Warm is the full-detail boundary-warming geometry (zero value:
+	// sim.DefaultBoundaryWarm). Sampled configs derive theirs from the
+	// sampling geometry instead.
+	Warm sim.BoundaryWarm
+	// Workers bounds concurrent span simulations (GOMAXPROCS when
 	// <= 0). Results are byte-identical at any value.
 	Workers int
-	// Checkpoints, when non-nil, caches each window boundary's
-	// functional-warm state under a content-addressed key
-	// (sim.BoundaryKey, with single-flight capture): the first run
-	// captures, later runs — or concurrent runs sharing a boundary —
-	// restore, byte-identically. TraceID must then identify the
-	// instruction stream exactly.
+	// Checkpoints, when non-nil, caches each boundary's functional-warm
+	// state under a content-addressed key (sim.BoundaryKey, with
+	// single-flight capture): the first run captures, later runs — or
+	// concurrent runs sharing a boundary — restore, byte-identically.
+	// TraceID must then identify the instruction stream exactly
+	// (sim.WarmCheckpoints).
 	Checkpoints *ckpt.Store
 	TraceID     string
-	// Gate, when non-nil, bounds window concurrency across multiple
+	// Gate, when non-nil, bounds span concurrency across *multiple*
 	// concurrent parallel runs sharing it (internal/runq sizes one gate
-	// at its worker count). Each in-flight window holds one slot.
+	// at its worker count so a parallel job cooperates with the pool
+	// instead of oversubscribing the host). Each in-flight span holds
+	// one slot.
 	Gate chan struct{}
-	// Hook receives progress notifications (observability only). It may
-	// be invoked from multiple goroutines; calls are serialized.
+	// Hook receives progress notifications (observability only; runs
+	// are byte-identical with and without one). Unlike sim's hooks it
+	// may be invoked from multiple goroutines; calls are serialized.
 	Hook sim.ProgressFunc
 }
 
-// Run executes a sampled cfg window-parallel over the trace. newSource
-// must return a fresh, independent stream at position zero on every
-// call (arena cursors; called from multiple goroutines). Full-detail
-// configs are rejected — they time-parallelize through internal/tpar.
+// Plan splits the measured region [warmup, warmup+measure) into
+// contiguous segments: segments of base length measure/n with the
+// remainder spread one instruction each over the leading segments, so
+// lengths differ by at most one. n is clamped to [1, measure] — more
+// segments than instructions would create empty spans.
+func Plan(warmup, measure uint64, n int) []sim.SegmentSpec {
+	if n < 1 {
+		n = 1
+	}
+	if uint64(n) > measure && measure > 0 {
+		n = int(measure)
+	}
+	base := measure / uint64(n)
+	rem := measure % uint64(n)
+	specs := make([]sim.SegmentSpec, n)
+	start := warmup
+	for i := range specs {
+		length := base
+		if uint64(i) < rem {
+			length++
+		}
+		specs[i] = sim.SegmentSpec{Index: i, Start: start, End: start + length}
+		start += length
+	}
+	return specs
+}
+
+// Run executes cfg in parallel spans over the trace. newSource must
+// return a fresh, independent stream at position zero on every call
+// (arena cursors: each span gets its own); it is called from multiple
+// goroutines. A full-detail run with Segments <= 1 (or a measured
+// region too short to split) goes through the serial engine and is
+// byte-identical to sim.Run.
 func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, traceName string, opts Options) (sim.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return sim.Result{}, err
 	}
-	if !cfg.Sampling.Enabled {
-		return sim.Result{}, fmt.Errorf("wpar: config %q is full-detail; full-detail runs time-parallelize through internal/tpar", cfg.Name)
-	}
-	if err := cfg.ValidateSegments(2); err != nil {
-		return sim.Result{}, err
-	}
-	s := cfg.Sampling
-	warm := s.BoundaryWarm()
-	if err := warm.Validate(); err != nil {
-		return sim.Result{}, fmt.Errorf("wpar: sampling geometry does not map onto a boundary warm: %w", err)
-	}
-
-	specs := cfg.SampleWindows()
-	budget := len(specs)
-	adaptive := s.Adaptive()
-	maxW := budget
-	if adaptive && s.MaxWindows > 0 && s.MaxWindows < maxW {
-		maxW = s.MaxWindows
-	}
-	specs = specs[:maxW]
-
-	// Each window runs as a full-detail segment: Sampling is stripped so
-	// the per-window machine is the plain detailed engine (RunSegment's
-	// contract), and the warm above carries the sampling horizons. This
-	// also means window boundaries share sim.BoundaryKey checkpoint
-	// addresses with any tpar boundary at the same position and horizons.
-	cfgFD := cfg
-	cfgFD.Sampling = sim.SamplingConfig{}
-
 	var wc *sim.WarmCheckpoints
 	if opts.Checkpoints != nil {
 		wc = &sim.WarmCheckpoints{Store: opts.Checkpoints, TraceID: opts.TraceID}
 	}
 
+	s := cfg.Sampling
+	spanCfg, warm := cfg, opts.Warm
+	var specs []sim.SegmentSpec
+	budget := 0
+	if s.Enabled {
+		if err := cfg.ValidateSegments(2); err != nil {
+			return sim.Result{}, err
+		}
+		warm = s.BoundaryWarm()
+		if err := warm.Validate(); err != nil {
+			return sim.Result{}, fmt.Errorf("wpar: sampling geometry does not map onto a boundary warm: %w", err)
+		}
+		specs = cfg.SampleWindows()
+		budget = len(specs)
+		if s.Adaptive() && s.MaxWindows > 0 && s.MaxWindows < budget {
+			specs = specs[:s.MaxWindows]
+		}
+		// Each window runs as a full-detail segment: Sampling is
+		// stripped so the per-window machine is the plain detailed
+		// engine (RunSegment's contract), and the warm above carries the
+		// sampling horizons. Window boundaries therefore share
+		// sim.BoundaryKey checkpoint addresses with any full-detail
+		// segment boundary at the same position and horizons.
+		spanCfg.Sampling = sim.SamplingConfig{}
+	} else {
+		specs = Plan(cfg.WarmupInsts, cfg.MeasureInsts, opts.Segments)
+		if len(specs) <= 1 {
+			return sim.RunHooked(cfg, newSource(), code, traceName, wc, opts.Hook)
+		}
+		if warm == (sim.BoundaryWarm{}) {
+			warm = sim.DefaultBoundaryWarm()
+		}
+		if err := warm.Validate(); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	n := len(specs)
+	adaptive := s.Adaptive()
+
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > maxW {
-		workers = maxW
+	if workers > n {
+		workers = n
 	}
 
-	// Serialized progress, as in tpar: completions arrive from any
-	// worker, the hook contract is single-goroutine.
+	// Serialized progress: completions arrive from any worker, but the
+	// hook contract is single-goroutine.
 	var noteMu sync.Mutex
 	noted := 0
 	note := func(rel float64, refining bool) {
@@ -135,17 +186,20 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		defer noteMu.Unlock()
 		noted++
 		if refining {
-			opts.Hook(sim.Progress{Stage: sim.StageRefining, WindowsDone: noted, WindowsTotal: maxW, HalfWidth: rel})
+			opts.Hook(sim.Progress{Stage: sim.StageRefining, WindowsDone: noted, WindowsTotal: n, HalfWidth: rel})
 		} else {
-			opts.Hook(sim.Progress{Stage: sim.StageMeasuring, WindowsDone: noted, WindowsTotal: maxW})
+			opts.Hook(sim.Progress{Stage: sim.StageMeasuring, WindowsDone: noted, WindowsTotal: n})
 		}
 	}
 	if opts.Hook != nil {
-		opts.Hook(sim.Progress{Stage: sim.StageWarming, WindowsDone: 0, WindowsTotal: maxW})
+		opts.Hook(sim.Progress{Stage: sim.StageWarming, WindowsDone: 0, WindowsTotal: n})
 	}
 
-	// runOne simulates one window with its own recover, holding a Gate
-	// slot while in flight, exactly like a tpar segment.
+	// runOne simulates one span with its own recover: a panicking span
+	// fails this run, not the process (and not its siblings' worker
+	// goroutines). Each in-flight span holds one Gate slot, so total
+	// detailed-simulation concurrency across every parallel run sharing
+	// the gate stays bounded.
 	runOne := func(spec sim.SegmentSpec) (res sim.SegmentResult, err error) {
 		if opts.Gate != nil {
 			opts.Gate <- struct{}{}
@@ -153,93 +207,80 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		}
 		defer func() {
 			if r := recover(); r != nil {
-				err = fmt.Errorf("window %d: panic: %v", spec.Index, r)
+				err = fmt.Errorf("panic: %v", r)
 			}
 		}()
-		return sim.RunSegment(cfgFD, newSource(), code, spec, warm, wc)
+		return sim.RunSegment(spanCfg, newSource(), code, spec, warm, wc)
 	}
 
-	// Coordination state, all under mu. The feeder below hands out window
-	// indices in order — issuance running ahead of the stop rule is the
-	// speculation — and completions feed the reorder buffer. advance
-	// consumes completed windows strictly in index order through the
-	// shared stop rule; once it stops (or trips over an in-order error),
-	// issuance ceases and everything past the stop point is discarded.
-	// The stop decision is a pure function of the in-order window
-	// sequence, so it is identical at every worker count and schedule.
-	type windowObs struct {
-		insts, cycles uint64
-	}
+	// Coordination state, all under mu. Every span's outcome lands in
+	// its own index slot, so no two workers ever touch the same cell and
+	// the reduction below never sees arrival order. The feeder hands out
+	// span indices in order — for adaptive runs, issuance running ahead
+	// of the stop rule is the speculation — and advance consumes
+	// completed spans strictly in index order through the shared stop
+	// rule. Once it stops, or meets an in-order failure the serial chain
+	// would have hit, issuance ceases and everything past the stop point
+	// is discarded. The stop decision is a pure function of the in-order
+	// window sequence, so it is identical at every worker count.
 	var (
 		mu       sync.Mutex
-		obs      = make([]windowObs, maxW)
-		errs     = make([]error, maxW)
-		doneW    = make([]bool, maxW)
+		slots    = make([]*sim.SegmentResult, n)
+		errs     = make([]error, n)
 		consumed int
 		stopAt   = -1 // inclusive index of the stop window; -1: none
-		hardErr  error
-		as       = sim.NewAdaptiveStop(s, maxW)
+		halted   bool
+		as       = sim.NewAdaptiveStop(s, n)
 	)
 	advance := func() {
-		for stopAt < 0 && hardErr == nil && consumed < maxW && doneW[consumed] {
+		for !halted && consumed < n && (slots[consumed] != nil || errs[consumed] != nil) {
 			k := consumed
 			if errs[k] != nil {
-				// The serial chain would have failed at this window; stop
-				// consuming and issuing. Later windows' outcomes (fine or
-				// failed) are speculative and irrelevant.
-				hardErr = fmt.Errorf("wpar: window %d: %w", k, errs[k])
+				halted = true
 				return
 			}
 			consumed++
-			if _, stop := as.Observe(obs[k].insts, obs[k].cycles); stop {
-				stopAt = k
+			if _, stop := as.Observe(slots[k].Insts, slots[k].Cycles); stop {
+				stopAt, halted = k, true
 			}
 		}
 	}
 
-	accs := make([]*Accum, workers)
 	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			acc := NewAccum(maxW)
-			accs[w] = acc
 			for i := range idxCh {
 				res, err := runOne(specs[i])
 
 				mu.Lock()
-				doneW[i] = true
 				if err != nil {
 					errs[i] = err
 				} else {
-					obs[i] = windowObs{insts: res.Insts, cycles: res.Cycles}
+					slots[i] = &res
 				}
 				var rel float64
 				refining := false
 				if adaptive {
 					advance()
 					if consumed >= as.Min() {
-						rel = as.Rel()
-						refining = true
+						rel, refining = as.Rel(), true
 					}
 				}
 				mu.Unlock()
-				if err == nil {
-					acc.AddWindow(res)
-				}
 				note(rel, refining)
 			}
-		}(w)
+		}()
 	}
-	// Feed window indices in issue order. A send already blocked when
-	// the consumer stops still hands one more speculative window to a
+	// Feed span indices in issue order. A send already blocked when the
+	// consumer stops still hands one more speculative window to a
 	// worker; it is discarded at reduction like every other window past
 	// the stop point, so the result stays schedule-independent.
-	for i := 0; i < maxW; i++ {
+	for i := 0; i < n; i++ {
 		mu.Lock()
-		stopped := stopAt >= 0 || hardErr != nil
+		stopped := halted
 		mu.Unlock()
 		if stopped {
 			break
@@ -249,123 +290,55 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 	close(idxCh)
 	wg.Wait()
 
-	if hardErr != nil {
-		return sim.Result{}, hardErr
-	}
-	include := maxW
-	targetMet := false
+	include := n
 	if stopAt >= 0 {
 		include = stopAt + 1
-		targetMet = true
 	}
 	// Deterministic error selection over the included prefix: the
-	// lowest-indexed failure wins (non-adaptive path; the adaptive
-	// consumer surfaces the same window as hardErr above).
-	for i := 0; i < include; i++ {
-		if errs[i] != nil {
-			return sim.Result{}, fmt.Errorf("wpar: window %d: %w", i, errs[i])
+	// lowest-indexed failure wins, independent of completion order. An
+	// adaptive run halts at its first in-order failure, so every span
+	// below it has succeeded.
+	for i, err := range errs[:include] {
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("wpar: span %d: %w", i, err)
 		}
 	}
-
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.Merge(acc)
-	}
-	return merged.Result(cfg, traceName, include, budget, targetMet)
+	return reduce(cfg, traceName, slots[:include], budget, stopAt >= 0)
 }
 
-// Accum accumulates per-window results, keyed by window index. Cells
-// from different Accums are disjoint (each window is simulated exactly
-// once), which is what makes Merge commutative; every order-sensitive
-// reduction is deferred to Result's window-ordered walk.
-type Accum struct {
-	cells []*sim.SegmentResult
-}
-
-// NewAccum returns an accumulator for a run of up to n windows.
-func NewAccum(n int) *Accum {
-	return &Accum{cells: make([]*sim.SegmentResult, n)}
-}
-
-// AddWindow files one window's result under its index. Filing two
-// results under one index is a scheduling bug and panics.
-func (a *Accum) AddWindow(r sim.SegmentResult) {
-	if r.Index < 0 || r.Index >= len(a.cells) {
-		panic(fmt.Sprintf("wpar: window index %d out of range [0, %d)", r.Index, len(a.cells)))
-	}
-	if a.cells[r.Index] != nil {
-		panic(fmt.Sprintf("wpar: window %d accumulated twice", r.Index))
-	}
-	c := r
-	a.cells[r.Index] = &c
-}
-
-// Merge folds b's cells into a. Cell sets are disjoint by construction,
-// so the merge is a pure union — no arithmetic at all — and therefore
-// commutative. Verified dynamically by TestAccumMergeCommutes
-// (shuffle-merge under seeded random orderings, stats.CheckCommutative).
-//
-//ucplint:commutative
-func (a *Accum) Merge(b *Accum) {
-	if len(b.cells) > len(a.cells) {
-		grown := make([]*sim.SegmentResult, len(b.cells))
-		copy(grown, a.cells)
-		a.cells = grown
-	}
-	for i, c := range b.cells {
-		if c == nil {
-			continue
-		}
-		if a.cells[i] != nil {
-			panic(fmt.Sprintf("wpar: window %d accumulated twice across merge", i))
-		}
-		a.cells[i] = c
-	}
-}
-
-// Result reduces the first `include` accumulated windows — in window
-// order, never arrival order — into one sim.Result shaped like the
-// serial sampled controller's: a SampledStats block with the per-window
-// IPC/MPKI observations and Student-t 95% intervals, plus a
-// TimeParStats block recording the parallel window provenance. Windows
-// past `include` (speculation beyond an adaptive stop) are ignored.
-// budget is the fixed schedule's full window count (adaptive
-// provenance); targetMet reports an adaptive stop.
-func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, targetMet bool) (sim.Result, error) {
-	if include < 1 || include > len(a.cells) {
-		return sim.Result{}, fmt.Errorf("wpar: include %d out of range [1, %d]", include, len(a.cells))
-	}
+// reduce folds the span results — in span order, never arrival order —
+// into one sim.Result. Counter blocks are summed measured-region deltas
+// (integer addition, exact in any grouping); histograms merge into
+// fresh clones, so the slots themselves are never mutated. TimePar
+// records every span. Sampled configs add a SampledStats block shaped
+// like the serial controller's, with the per-window IPC/MPKI
+// observations and their Student-t 95% intervals; budget is the fixed
+// schedule's window count and targetMet reports an adaptive stop.
+func reduce(cfg sim.Config, traceName string, slots []*sim.SegmentResult, budget int, targetMet bool) (sim.Result, error) {
+	r := sim.Result{Name: cfg.Name, Trace: traceName}
+	t := &sim.TimeParStats{Segments: len(slots)}
 	var (
-		insts, cycles  uint64
-		skipped, ff    uint64
-		detailed       uint64
-		fe             frontend.Stats
-		uop            uopcache.Stats
-		ucp            core.Stats
-		l1i            cache.Stats
-		stream, refill *stats.Histogram
-		ipcs, mpkis    []float64
+		detailed    uint64
+		ipcs, mpkis []float64
 	)
-	t := &sim.TimeParStats{Segments: include}
-	for i := 0; i < include; i++ {
-		c := a.cells[i]
+	for i, c := range slots {
 		if c == nil {
-			return sim.Result{}, fmt.Errorf("wpar: merge is missing window %d of %d", i, include)
+			return sim.Result{}, fmt.Errorf("wpar: reduce is missing span %d of %d", i, len(slots))
 		}
-		insts += c.Insts
-		cycles += c.Cycles
-		skipped += c.SkippedInsts
-		ff += c.FFInsts
+		r.Insts += c.Insts
+		r.Cycles += c.Cycles
+		t.SkippedInsts += c.SkippedInsts
+		t.FFInsts += c.FFInsts
 		detailed += c.DetailedInsts
-		sim.AddCounters(&fe, c.FE)
-		sim.AddCounters(&uop, c.Uop)
-		sim.AddCounters(&ucp, c.UCP)
-		sim.AddCounters(&l1i, c.L1I)
-		if stream == nil {
-			stream, refill = c.StreamLens.Clone(), c.RefillLat.Clone()
+		sim.AddCounters(&r.FE, c.FE)
+		sim.AddCounters(&r.Uop, c.Uop)
+		sim.AddCounters(&r.UCP, c.UCP)
+		sim.AddCounters(&r.L1I, c.L1I)
+		if r.StreamLens == nil {
+			r.StreamLens, r.RefillLat = c.StreamLens.Clone(), c.RefillLat.Clone()
 		} else {
-			stream.Merge(c.StreamLens)
-			refill.Merge(c.RefillLat)
+			r.StreamLens.Merge(c.StreamLens)
+			r.RefillLat.Merge(c.RefillLat)
 		}
 		segIPC := 0.0
 		if c.Cycles > 0 {
@@ -380,58 +353,20 @@ func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, ta
 		t.SegCycles = append(t.SegCycles, c.Cycles)
 		t.SegIPC = append(t.SegIPC, segIPC)
 	}
-	t.SkippedInsts, t.FFInsts = skipped, ff
-
-	sampled := &sim.SampledStats{
-		Windows:       len(ipcs),
-		SkippedInsts:  skipped,
-		FFInsts:       ff,
-		DetailedInsts: detailed,
-		MeasuredInsts: insts,
-		WindowIPC:     ipcs,
-		WindowMPKI:    mpkis,
+	r.SetRates(r.FE, r.Uop)
+	r.UCPStorageKB = slots[0].UCPStorageKB
+	r.TimePar = t
+	if cfg.Sampling.Enabled {
+		r.Sampled = &sim.SampledStats{
+			Windows:       len(ipcs),
+			SkippedInsts:  t.SkippedInsts,
+			FFInsts:       t.FFInsts,
+			DetailedInsts: detailed,
+			MeasuredInsts: r.Insts,
+			WindowIPC:     ipcs,
+			WindowMPKI:    mpkis,
+		}
+		r.Sampled.Finish(cfg.Sampling, budget, targetMet)
 	}
-	if cfg.Sampling.Adaptive() {
-		sampled.TargetCI = cfg.Sampling.TargetCI
-		sampled.WindowBudget = budget
-		sampled.TargetMet = targetMet
-	}
-	sampled.IPCMean, sampled.IPCCI95 = stats.CI95(ipcs)
-	sampled.MPKIMean, sampled.MPKICI95 = stats.CI95(mpkis)
-	if math.IsInf(sampled.IPCCI95, 1) {
-		sampled.IPCCI95 = 0
-	}
-	if math.IsInf(sampled.MPKICI95, 1) {
-		sampled.MPKICI95 = 0
-	}
-
-	r := sim.Result{
-		Name:       cfg.Name,
-		Trace:      traceName,
-		Insts:      insts,
-		Cycles:     cycles,
-		FE:         fe,
-		Uop:        uop,
-		UCP:        ucp,
-		L1I:        l1i,
-		StreamLens: stream,
-		RefillLat:  refill,
-		Sampled:    sampled,
-		TimePar:    t,
-	}
-	if cycles > 0 {
-		r.IPC = float64(insts) / float64(cycles)
-	}
-	if fetched := fe.UopsFromUopCache + fe.UopsFromDecode; fetched > 0 {
-		r.UopHitRate = float64(fe.UopsFromUopCache) / float64(fetched)
-	}
-	if insts > 0 {
-		r.SwitchPKI = float64(fe.ModeSwitches) / float64(insts) * 1000
-		r.CondMPKI = float64(fe.CondMispredicts) / float64(insts) * 1000
-	}
-	if uop.PrefetchInserts > 0 {
-		r.PrefetchAccuracy = float64(uop.PrefetchUsed) / float64(uop.PrefetchInserts)
-	}
-	r.UCPStorageKB = a.cells[0].UCPStorageKB
 	return r, nil
 }

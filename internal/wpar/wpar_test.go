@@ -1,19 +1,20 @@
 package wpar_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
+	"ucp/internal/isa"
 	"ucp/internal/sim"
-	"ucp/internal/stats"
 	"ucp/internal/trace"
 	"ucp/internal/wpar"
 )
 
 // testArena decodes prof into an arena budgeted for end + slack; every
-// window draws a fresh cursor from it, like runq does.
+// span draws a fresh cursor from it, like runq does.
 func testArena(t *testing.T, profName string, end uint64) (*trace.Arena, *trace.Program) {
 	t.Helper()
 	prof, ok := trace.ProfileByName(profName)
@@ -42,36 +43,74 @@ func sampledCfg() sim.Config {
 	return cfg
 }
 
-// TestWorkerCountInvariance is the tentpole determinism bar: the same
-// window-parallel sampled run must produce byte-identical digests at
-// any worker count, with both a sampled section (window IPCs, CIs) and
-// a timepar section (window provenance).
-func TestWorkerCountInvariance(t *testing.T) {
-	cfg := sampledCfg()
-	a, prog := testArena(t, "crypto01", 60_000)
+// fullCfg is the full-detail counterpart of sampledCfg: the same 20K
+// warmup and 40K measured instructions, split into segments by Plan.
+func fullCfg() sim.Config {
+	cfg := sim.WithUCP(core.DefaultConfig())
+	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
+	return cfg
+}
 
-	run := func(workers int) sim.Result {
-		r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-			wpar.Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return r
+func testWarm() sim.BoundaryWarm {
+	return sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
+}
+
+// mode is one of the executor's two span plans over the shared 60K
+// geometry: four measured windows, or four full-detail segments.
+type mode struct {
+	name    string
+	cfg     sim.Config
+	opts    wpar.Options
+	profile string
+	// sections are digest lines the mode's reduction must emit.
+	sections []string
+}
+
+func modes() []mode {
+	return []mode{
+		{"sampled", sampledCfg(), wpar.Options{}, "crypto01",
+			[]string{"sampled windows=4", "sampled w0 ipc=", "timepar segments=4", "timepar s3 "}},
+		{"full-detail", fullCfg(), wpar.Options{Segments: 4, Warm: testWarm()}, "srv203",
+			[]string{"timepar segments=4", "timepar s0 ", "timepar s3 "}},
 	}
-	r1 := run(1)
-	d1 := r1.DeterminismDigest()
-	for _, w := range []int{2, 8} {
-		if dw := run(w).DeterminismDigest(); dw != d1 {
-			t.Fatalf("digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
-		}
-	}
-	for _, want := range []string{"sampled windows=4", "sampled w0 ipc=", "timepar segments=4", "timepar s3 "} {
-		if !strings.Contains(d1, want) {
-			t.Errorf("digest missing %q section:\n%s", want, d1)
-		}
-	}
-	if r1.Sampled == nil || r1.Sampled.MeasuredInsts == 0 {
-		t.Fatalf("Sampled = %+v, want populated window statistics", r1.Sampled)
+}
+
+// TestWorkerCountInvariance is the tentpole determinism bar: the same
+// parallel run must produce byte-identical digests at any worker count,
+// in both modes — with a timepar section describing every span, plus
+// the sampled section (window IPCs, CIs) for sampled configs.
+func TestWorkerCountInvariance(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			a, prog := testArena(t, m.profile, 60_000)
+			run := func(workers int) sim.Result {
+				opts := m.opts
+				opts.Workers = workers
+				r, err := wpar.Run(m.cfg, func() trace.Source { return a.Cursor() }, prog, m.profile, opts)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				return r
+			}
+			r1 := run(1)
+			d1 := r1.DeterminismDigest()
+			for _, w := range []int{2, 8} {
+				if dw := run(w).DeterminismDigest(); dw != d1 {
+					t.Fatalf("digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
+				}
+			}
+			for _, want := range m.sections {
+				if !strings.Contains(d1, want) {
+					t.Errorf("digest missing %q section:\n%s", want, d1)
+				}
+			}
+			if sampled := m.cfg.Sampling.Enabled; sampled != (r1.Sampled != nil) {
+				t.Fatalf("Sampled = %+v for a config with Sampling.Enabled=%v", r1.Sampled, sampled)
+			}
+			if r1.Sampled != nil && r1.Sampled.MeasuredInsts == 0 {
+				t.Fatalf("Sampled = %+v, want populated window statistics", r1.Sampled)
+			}
+		})
 	}
 }
 
@@ -156,105 +195,174 @@ func TestAdaptiveStopInvariant(t *testing.T) {
 	}
 }
 
-// TestCheckpointRestoredRunIdentical: a run restoring all window
-// boundary checkpoints captured by an earlier run must be
-// byte-identical to the cold run — and actually hit the store.
+// TestCheckpointRestoredRunIdentical: a run restoring all boundary
+// checkpoints captured by an earlier run must be byte-identical to the
+// cold run — and actually hit the store — in both modes.
 func TestCheckpointRestoredRunIdentical(t *testing.T) {
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			a, prog := testArena(t, m.profile, 60_000)
+			store := ckpt.NewStore("")
+			run := func(st *ckpt.Store) sim.Result {
+				opts := m.opts
+				opts.Workers, opts.Checkpoints, opts.TraceID = 2, st, "test:"+a.ID()
+				r, err := wpar.Run(m.cfg, func() trace.Source { return a.Cursor() }, prog, m.profile, opts)
+				if err != nil {
+					t.Fatalf("wpar run: %v", err)
+				}
+				return r
+			}
+			cold := run(nil)
+			captured := run(store)
+			if store.Len() == 0 {
+				t.Fatal("capturing run published no boundary checkpoints")
+			}
+			hitsBefore := store.Hits()
+			restored := run(store)
+			if store.Hits() <= hitsBefore {
+				t.Fatal("restore run never hit the checkpoint store")
+			}
+			cd := cold.DeterminismDigest()
+			if d := captured.DeterminismDigest(); d != cd {
+				t.Fatalf("capturing run digest differs from cold:\n%s\n---\n%s", d, cd)
+			}
+			if d := restored.DeterminismDigest(); d != cd {
+				t.Fatalf("checkpoint-restored run digest differs from cold:\n%s\n---\n%s", d, cd)
+			}
+		})
+	}
+}
+
+// TestFullDetailSpansFromPlan: a full-detail config is split by Plan
+// over Options.Segments, boundary-warmed by Options.Warm, and reduces
+// without a sampled section.
+func TestFullDetailSpansFromPlan(t *testing.T) {
+	cfg := fullCfg()
+	a, prog := testArena(t, "crypto01", 60_000)
+	r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+		wpar.Options{Segments: 3, Workers: 2, Warm: testWarm()})
+	if err != nil {
+		t.Fatalf("full-detail run: %v", err)
+	}
+	if r.Sampled != nil {
+		t.Errorf("full-detail run carries a sampled section: %+v", r.Sampled)
+	}
+	specs := wpar.Plan(cfg.WarmupInsts, cfg.MeasureInsts, 3)
+	if r.TimePar == nil || r.TimePar.Segments != len(specs) {
+		t.Fatalf("TimePar = %+v, want %d planned segments", r.TimePar, len(specs))
+	}
+	for i, spec := range specs {
+		if got := r.TimePar.Boundaries[i]; got != spec.Start {
+			t.Errorf("segment %d starts at %d, want the planned %d", i, got, spec.Start)
+		}
+	}
+}
+
+// TestSampledIgnoresSegments: a sampled config runs one span per
+// measured window at any Options.Segments — 0 included — so the
+// segment count never changes a sampled run's bytes.
+func TestSampledIgnoresSegments(t *testing.T) {
 	cfg := sampledCfg()
 	a, prog := testArena(t, "crypto01", 60_000)
-	store := ckpt.NewStore("")
-
-	run := func(st *ckpt.Store) sim.Result {
+	run := func(segments int) sim.Result {
 		r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-			wpar.Options{Workers: 2, Checkpoints: st, TraceID: "test:" + a.ID()})
+			wpar.Options{Segments: segments, Workers: 2})
 		if err != nil {
-			t.Fatalf("wpar run: %v", err)
+			t.Fatalf("segments=%d: %v", segments, err)
 		}
 		return r
 	}
-	cold := run(nil)
-	captured := run(store)
-	if store.Len() == 0 {
-		t.Fatal("capturing run published no boundary checkpoints")
+	r0 := run(0)
+	if r0.Sampled == nil || r0.Sampled.Windows != 4 || r0.TimePar == nil || r0.TimePar.Segments != 4 {
+		t.Fatalf("segments=0: Sampled = %+v, TimePar = %+v, want 4 parallel windows", r0.Sampled, r0.TimePar)
 	}
-	hitsBefore := store.Hits()
-	restored := run(store)
-	if store.Hits() <= hitsBefore {
-		t.Fatal("restore run never hit the checkpoint store")
-	}
-	cd := cold.DeterminismDigest()
-	if d := captured.DeterminismDigest(); d != cd {
-		t.Fatalf("capturing run digest differs from cold:\n%s\n---\n%s", d, cd)
-	}
-	if d := restored.DeterminismDigest(); d != cd {
-		t.Fatalf("checkpoint-restored run digest differs from cold:\n%s\n---\n%s", d, cd)
-	}
-}
-
-// TestRejectsFullDetail: wpar is the sampled executor; a full-detail
-// config must be routed to tpar, not silently planned as zero windows.
-func TestRejectsFullDetail(t *testing.T) {
-	cfg := sim.Baseline()
-	a, prog := testArena(t, "crypto01", 10_000)
-	_, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01", wpar.Options{})
-	if err == nil || !strings.Contains(err.Error(), "tpar") {
-		t.Fatalf("full-detail config not rejected toward tpar: err = %v", err)
-	}
-}
-
-// TestAccumMergeCommutes backs Accum.Merge's //ucplint:commutative
-// annotation with the dynamic shuffle-merge harness: per-worker accums
-// holding disjoint window sets must reduce to byte-identical digests
-// under any merge order. Registered in ucplint's verified set
-// (TestCommutativeAnnotationsAreShuffleTested).
-func TestAccumMergeCommutes(t *testing.T) {
-	cfg := sampledCfg()
-	a, prog := testArena(t, "crypto01", 60_000)
-
-	cfgFD := cfg
-	cfgFD.Sampling = sim.SamplingConfig{}
-	warm := cfg.Sampling.BoundaryWarm()
-	specs := cfg.SampleWindows()
-	parts := make([]*wpar.Accum, len(specs))
-	for i, spec := range specs {
-		res, err := sim.RunSegment(cfgFD, a.Cursor(), prog, spec, warm, nil)
-		if err != nil {
-			t.Fatalf("window %d: %v", i, err)
+	d0 := r0.DeterminismDigest()
+	for _, n := range []int{1, 7} {
+		if d := run(n).DeterminismDigest(); d != d0 {
+			t.Fatalf("segments=%d digest differs from segments=0:\n%s\n---\n%s", n, d, d0)
 		}
-		parts[i] = wpar.NewAccum(len(specs))
-		parts[i].AddWindow(res)
-	}
-	err := stats.CheckCommutative(
-		func() *wpar.Accum { return wpar.NewAccum(len(specs)) },
-		func(dst, src *wpar.Accum) { dst.Merge(src) },
-		func(acc *wpar.Accum) string {
-			r, err := acc.Result(cfg, "crypto01", len(specs), len(specs), false)
-			if err != nil {
-				t.Fatalf("Result after full merge: %v", err)
-			}
-			return r.DeterminismDigest()
-		},
-		parts, 0xF00D, 64,
-	)
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestResultMissingWindow: reducing an accumulator with a hole in the
-// included prefix must fail loudly, and speculative windows past the
-// include point must not be required.
+// TestResultMissingWindow: reducing span slots with a hole must fail
+// loudly — a silently short reduction would report wrong numbers with a
+// valid-looking digest — while a prefix without the hole (an adaptive
+// stop before it) reduces fine.
 func TestResultMissingWindow(t *testing.T) {
-	cfg := sampledCfg()
-	acc := wpar.NewAccum(3)
-	acc.AddWindow(sim.SegmentResult{Index: 0, Start: 0, End: 10, Insts: 10, Cycles: 20})
-	acc.AddWindow(sim.SegmentResult{Index: 2, Start: 20, End: 30, Insts: 10, Cycles: 20})
-	if _, err := acc.Result(cfg, "x", 3, 3, false); err == nil || !strings.Contains(err.Error(), "missing window 1") {
-		t.Fatalf("hole not detected: err = %v", err)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			slots := []*sim.SegmentResult{
+				{Index: 0, Start: 0, End: 10, Insts: 10, Cycles: 20},
+				nil,
+				{Index: 2, Start: 20, End: 30, Insts: 10, Cycles: 20},
+			}
+			if _, err := wpar.Reduce(m.cfg, "x", slots, 3, false); err == nil || !strings.Contains(err.Error(), "missing span 1") {
+				t.Fatalf("hole not detected: err = %v", err)
+			}
+			if _, err := wpar.Reduce(m.cfg, "x", slots[:1], 3, true); err != nil {
+				t.Fatalf("one-span prefix reduction failed: %v", err)
+			}
+		})
 	}
-	// include=1 ignores the hole at 1 and the speculative cell at 2.
-	if _, err := acc.Result(cfg, "x", 1, 3, true); err != nil {
-		t.Fatalf("include=1 reduction failed: %v", err)
+}
+
+// panicSource panics once its stream position reaches at. Only Next is
+// offered, so every skip and batch read goes through the counter.
+type panicSource struct {
+	src     trace.Source
+	pos, at uint64
+}
+
+func (p *panicSource) Next() (isa.Inst, bool) {
+	if p.pos == p.at {
+		panic(fmt.Sprintf("stream position %d", p.at))
+	}
+	p.pos++
+	return p.src.Next()
+}
+
+func (p *panicSource) Reset() { p.src.Reset(); p.pos = 0 }
+
+// TestSpanErrors drives the executor's failure paths: a stream that
+// ends at instruction 45K, and one that panics there. Every span reads
+// its stream from position zero, so exactly the spans reaching past 45K
+// (spans 2 and 3 of both plans) fail. The run must return an error
+// naming span 2 — the lowest failing index, whatever order the spans
+// finish in — identical at 1 and 4 workers, and a panic must surface as
+// an error rather than take the process down.
+func TestSpanErrors(t *testing.T) {
+	const failAt = 45_000
+	for _, m := range modes() {
+		full, prog := testArena(t, m.profile, 60_000)
+		short := trace.ArenaFromSource(trace.NewWalker(prog), failAt)
+		sources := map[string]func() trace.Source{
+			"stream-ends": func() trace.Source { return short.Cursor() },
+			"panics":      func() trace.Source { return &panicSource{src: full.Cursor(), at: failAt} },
+		}
+		for _, c := range []string{"stream-ends", "panics"} {
+			t.Run(m.name+"/"+c, func(t *testing.T) {
+				var first string
+				for _, workers := range []int{1, 4} {
+					opts := m.opts
+					opts.Workers = workers
+					_, err := wpar.Run(m.cfg, sources[c], prog, m.profile, opts)
+					if err == nil {
+						t.Fatalf("workers=%d: run succeeded past a failing span", workers)
+					}
+					if !strings.HasPrefix(err.Error(), "wpar: span 2: ") {
+						t.Fatalf("workers=%d: error does not name the lowest failing span 2: %v", workers, err)
+					}
+					if c == "panics" && !strings.Contains(err.Error(), "panic: stream position 45000") {
+						t.Fatalf("workers=%d: panic not reported: %v", workers, err)
+					}
+					if first == "" {
+						first = err.Error()
+					} else if err.Error() != first {
+						t.Fatalf("error differs across worker counts:\n%s\n---\n%s", first, err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -274,5 +382,95 @@ func TestTrailingRemainderWindow(t *testing.T) {
 	}
 	if got := r.TimePar.Boundaries[4]; got != 20_000+45_000-2_000 {
 		t.Errorf("trailing window starts at %d, want measure end - DetailedInsts", got)
+	}
+}
+
+// TestPlan pins the segment geometry: contiguous coverage of exactly
+// [warmup, warmup+measure), lengths differing by at most one with the
+// remainder on the leading segments (the trailing segment is the
+// partial one), and clamping when asked for more segments than
+// instructions.
+func TestPlan(t *testing.T) {
+	specs := wpar.Plan(1_000, 10_007, 4)
+	if len(specs) != 4 {
+		t.Fatalf("got %d segments, want 4", len(specs))
+	}
+	wantLens := []uint64{2_502, 2_502, 2_502, 2_501} // 10_007 = 4*2501 + 3
+	pos := uint64(1_000)
+	for i, s := range specs {
+		if s.Index != i {
+			t.Errorf("segment %d carries index %d", i, s.Index)
+		}
+		if s.Start != pos {
+			t.Errorf("segment %d starts at %d, want %d (gap or overlap)", i, s.Start, pos)
+		}
+		if got := s.End - s.Start; got != wantLens[i] {
+			t.Errorf("segment %d spans %d insts, want %d", i, got, wantLens[i])
+		}
+		pos = s.End
+	}
+	if pos != 11_007 {
+		t.Errorf("plan ends at %d, want warmup+measure = 11_007", pos)
+	}
+
+	// More segments than instructions: clamp to one inst per segment.
+	specs = wpar.Plan(0, 3, 10)
+	if len(specs) != 3 {
+		t.Fatalf("overclamped plan has %d segments, want 3", len(specs))
+	}
+	for i, s := range specs {
+		if s.End-s.Start != 1 {
+			t.Errorf("clamped segment %d spans %d insts, want 1", i, s.End-s.Start)
+		}
+	}
+
+	// Degenerate inputs collapse to a single serial segment.
+	for _, n := range []int{0, -3} {
+		if got := len(wpar.Plan(5, 100, n)); got != 1 {
+			t.Errorf("n=%d planned %d segments, want 1", n, got)
+		}
+	}
+}
+
+// TestSegmentsOneMatchesSerial: a one-segment full-detail run must
+// route through the serial engine and be byte-identical to sim.Run —
+// the identity anchor every other invariance test leans on.
+func TestSegmentsOneMatchesSerial(t *testing.T) {
+	cfg := fullCfg()
+	a, prog := testArena(t, "crypto01", 60_000)
+
+	serial, err := sim.Run(cfg, a.Cursor(), prog, "crypto01")
+	if err != nil {
+		t.Fatalf("serial run: %v", err)
+	}
+	one, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+		wpar.Options{Segments: 1})
+	if err != nil {
+		t.Fatalf("wpar run: %v", err)
+	}
+	if got, want := one.DeterminismDigest(), serial.DeterminismDigest(); got != want {
+		t.Fatalf("segments=1 digest differs from serial:\n%s\n---\n%s", got, want)
+	}
+	if one.TimePar != nil {
+		t.Error("segments=1 result carries TimeParStats; it must be the serial result verbatim")
+	}
+}
+
+// TestMoreSegmentsThanInsts: asking for more segments than measured
+// instructions must clamp, not fail or emit empty spans.
+func TestMoreSegmentsThanInsts(t *testing.T) {
+	cfg := sim.Baseline()
+	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 5
+	a, prog := testArena(t, "crypto01", 2_005)
+	r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+		wpar.Options{Segments: 64, Workers: 4, Warm: testWarm()})
+	if err != nil {
+		t.Fatalf("clamped run failed: %v", err)
+	}
+	if r.TimePar == nil || r.TimePar.Segments != 5 {
+		t.Fatalf("TimePar = %+v, want 5 clamped segments", r.TimePar)
+	}
+	if r.Insts < 5 {
+		t.Errorf("measured %d insts, want >= 5", r.Insts)
 	}
 }
