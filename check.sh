@@ -28,7 +28,8 @@
 #                           clean, 1 findings, 2 load error)
 #   5. ucplint -determinism (two seeded runs must byte-match)
 #   6. go test -race ./... (full suite under the race detector)
-#   7. fuzz smoke          (each internal/trace fuzz target, 5s)
+#   7. fuzz smoke          (each internal/trace fuzz target and the
+#                           internal/sim checkpoint-restore target, 5s)
 #   8. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
 #                           cache must be byte-identical; wall-clock
 #                           ratios are recorded in BENCH_runq.json but
@@ -38,12 +39,14 @@
 #                           optimization is provably outcome-neutral —
 #                           and a BenchmarkSimQuick smoke records
 #                           insts/s + allocs/inst into BENCH_hotpath.json)
-#  10. sampling gate       (paired full-vs-sampled sweep in one process:
+#  10. sampling gate       (experiments -gate sampling: paired
+#                           full-vs-sampled sweep in one process:
 #                           per-point IPC error must stay under 2% and
 #                           the aggregate wall-clock speedup at or above
 #                           10x; measurements land in BENCH_sampling.json;
 #                           the sampled side must digest identically twice)
-#  11. time-parallel gate  (one full-detail UCP run executed serial,
+#  11. time-parallel gate  (experiments -gate tpar: one full-detail UCP
+#                           run executed serial,
 #                           then through the internal/wpar executor
 #                           segmented at two worker counts, and through
 #                           a capture+restore checkpoint cycle — every
@@ -53,7 +56,8 @@
 #                           BENCH_tpar.json. Then ucpsim itself runs
 #                           -segments 4 at -jobs 1 vs -jobs 8 and the
 #                           digest files must cmp-equal)
-#  11b. window-parallel gate (one sampled UCP run executed chain-serial,
+#  11b. window-parallel gate (experiments -gate wpar: one sampled UCP
+#                           run executed chain-serial,
 #                           then through the same executor per window at
 #                           two worker counts, through
 #                           a capture+restore checkpoint cycle, and
@@ -68,13 +72,15 @@
 #                           BENCH_wpar.json. Then ucpsim itself runs
 #                           -sample -segments 4 at -jobs 1 vs -jobs 8
 #                           and the digest files must cmp-equal)
-#  12. sweep-reuse gate    (cold vs arena+checkpoint pool over a
+#  12. sweep-reuse gate    (experiments -gate sweepreuse: cold vs
+#                           arena+checkpoint pool over a
 #                           10-config sampled threshold ablation: every
 #                           digest byte-identical, exactly one warm
 #                           checkpoint captured and N-1 restored, and
 #                           wall-clock speedup at or above 3x; recorded
 #                           in BENCH_sweepreuse.json)
-#  12b. autopilot gate     (adaptive sampling must meet its CI target in
+#  12b. autopilot gate     (experiments -gate autopilot: adaptive
+#                           sampling must meet its CI target in
 #                           fewer windows than fixed geometry with the
 #                           full-detail IPC inside the claimed interval,
 #                           and the confidence-pruned 10-config search
@@ -82,7 +88,8 @@
 #                           least 2x fewer simulated instructions, twice
 #                           identically; recorded in BENCH_autopilot.json,
 #                           Pareto table spliced into EXPERIMENTS_RESULTS.md)
-#  13. sweepd gate         (local pool vs a loopback sweepd server over
+#  13. sweepd gate         (experiments -gate sweepd: local pool vs a
+#                           loopback sweepd server over
 #                           the same ablation: digests byte-identical
 #                           over the wire, each distinct job executed
 #                           exactly once across two remote passes, the
@@ -92,6 +99,9 @@
 #                           digest file must cmp-equal the local one)
 #  14. BENCH schema        (every BENCH_*.json carries the shared
 #                           schema_version/bench/cores envelope)
+#
+# Steps 10-13 run `experiments -gate <id>` with the gate ids above; each
+# writes BENCH_<id>.json, also when a bound fails.
 #
 # Any failure aborts immediately with a nonzero exit.
 set -eu
@@ -208,10 +218,11 @@ fi
 
 # `go test -fuzz` accepts a single target at a time, so smoke each one.
 if want fuzz; then
-step "fuzz smoke (internal/trace)"
+step "fuzz smoke (internal/trace, internal/sim)"
 if [ "$FAST" -eq 0 ]; then
 	go test -fuzz=FuzzReadAny -fuzztime=5s -run='^$' ./internal/trace
 	go test -fuzz=FuzzValidate -fuzztime=5s -run='^$' ./internal/trace
+	go test -fuzz=FuzzRestoreWarm -fuzztime=5s -run='^$' ./internal/sim
 else
 	echo "skipped (-fast)"
 fi
@@ -321,7 +332,7 @@ step "sampling gate"
 # 25M measured insts) in one process so the wall-clock ratio is
 # thermally comparable. Gated: per-point IPC error < 2%, aggregate
 # speedup >= 10x, sampled runs digest-identical across two passes.
-"$RUNQ_TMP/experiments" -sample-gate -sample-bench BENCH_sampling.json
+"$RUNQ_TMP/experiments" -gate sampling
 fi
 
 if want tpar; then
@@ -332,7 +343,7 @@ step "time-parallel gate"
 # and across the capture/restore cycle, 4 boundaries captured + 4
 # restored, boundary-warming IPC error < 2%. Scaling is gated only on
 # multi-core hosts; single-core runs carry a note in BENCH_tpar.json.
-"$RUNQ_TMP/experiments" -tpar-gate -tpar-bench BENCH_tpar.json
+"$RUNQ_TMP/experiments" -gate tpar
 
 # End-to-end half: ucpsim itself, segmented, at two pool worker counts —
 # the whole digest file (which includes the per-segment timepar lines)
@@ -358,7 +369,7 @@ step "window-parallel gate"
 # counts, window-independence IPC error < 2%, and scaling >= 0.7 x
 # min(cores, windows) on multi-core hosts. Single-core runs carry a
 # note in BENCH_wpar.json.
-"$RUNQ_TMP/experiments" -wpar-gate -wpar-bench BENCH_wpar.json
+"$RUNQ_TMP/experiments" -gate wpar
 
 # End-to-end half: ucpsim itself, sampled + segmented, at two pool
 # worker counts — the whole digest file (sampled window lines, adaptive
@@ -381,7 +392,7 @@ if [ "$FAST" -eq 0 ]; then
 	# over one warm-key-sharing sampled sweep, in one process. Gated:
 	# digests byte-identical cold vs warm, one checkpoint captured + N-1
 	# restored, wall-clock speedup >= 3x.
-	"$RUNQ_TMP/experiments" -sweepreuse-gate -sweepreuse-bench BENCH_sweepreuse.json
+	"$RUNQ_TMP/experiments" -gate sweepreuse
 else
 	echo "skipped (-fast)"
 fi
@@ -398,7 +409,7 @@ if [ "$FAST" -eq 0 ]; then
 	# simulated instructions, and a repeat search must reproduce winner,
 	# rounds, spend, and winning digest. The Pareto table is regenerated
 	# in EXPERIMENTS_RESULTS.md between its markers.
-	"$RUNQ_TMP/experiments" -autopilot-gate -autopilot-bench BENCH_autopilot.json
+	"$RUNQ_TMP/experiments" -gate autopilot
 else
 	echo "skipped (-fast)"
 fi
@@ -412,7 +423,7 @@ if [ "$FAST" -eq 0 ]; then
 	# byte-identical over the wire, the server executes each distinct job
 	# exactly once, the whole second pass coalesces, and its checkpoint
 	# tier captures once + restores N-1 times.
-	"$RUNQ_TMP/experiments" -sweepd-gate -sweepd-bench BENCH_sweepd.json
+	"$RUNQ_TMP/experiments" -gate sweepd
 
 	# End-to-end half: the real sweepd binary serving a real ucpsim
 	# client. The remote digest file must be byte-identical to the local

@@ -5,14 +5,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 
 	"ucp/internal/autopilot"
 	"ucp/internal/harness"
 	"ucp/internal/runq"
 	"ucp/internal/sim"
-	"ucp/internal/trace"
 )
 
 // The autopilot gate has two halves, both documented in EXPERIMENTS.md.
@@ -65,33 +63,23 @@ const (
 	autopilotMinSpendRatio = 2.0
 )
 
-// autopilotResultsMarkers delimit the generated Pareto section in
-// EXPERIMENTS_RESULTS.md.
+// The gate splices its Pareto table into autopilotResultsPath between
+// these markers.
 const (
+	autopilotResultsPath = "EXPERIMENTS_RESULTS.md"
 	autopilotBeginMarker = "<!-- BEGIN GENERATED: autopilot-pareto -->"
 	autopilotEndMarker   = "<!-- END GENERATED: autopilot-pareto -->"
 )
 
-// autopilotGrid is the seeded ablation: the paper's headline reference
+// autopilotConfigs is the seeded ablation: the paper's headline reference
 // points (no µ-op cache, baseline, ideal µ-op cache) plus the UCP
 // threshold/estimator axes of Figs. 12 and 15. The ideal µ-op cache is
 // the expected winner by a wide margin, so the other nine candidates
 // are pruning fodder — which is the point: the gate measures how much
 // of the exhaustive spend the search avoids without changing the
 // answer.
-func autopilotGrid() ([]runq.Job, *runq.Job, error) {
-	prof, ok := trace.ProfileByName(autopilotGateTrace)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown profile %q", autopilotGateTrace)
-	}
-	sc := sim.SamplingConfig{
-		Enabled:       true,
-		PeriodInsts:   250_000,
-		DetailedInsts: 5_000,
-		WarmInsts:     5_000,
-		FFWarmInsts:   25_000,
-	}
-	cfgs := []sim.Config{
+func autopilotConfigs() []sim.Config {
+	return []sim.Config{
 		harness.NoUop(),
 		harness.BaselineCfg(),
 		harness.IdealUop(),
@@ -103,98 +91,96 @@ func autopilotGrid() ([]runq.Job, *runq.Job, error) {
 		harness.UCPNoInd(),
 		harness.UCPTageConf(),
 	}
-	jobs := make([]runq.Job, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Sampling = sc
-		jobs[i] = runq.Job{Config: cfg, Profile: prof,
-			Warmup: autopilotGateWarmup, Measure: autopilotGateMeasure}
-	}
-	baseCfg := harness.BaselineCfg()
-	baseCfg.Sampling = sc
-	baseline := &runq.Job{Config: baseCfg, Profile: prof,
-		Warmup: autopilotGateWarmup, Measure: autopilotGateMeasure}
-	return jobs, baseline, nil
 }
 
-// adaptiveGateResult carries Part A's measurements into the bench record.
-type adaptiveGateResult struct {
-	fullIPC         float64
-	ipcMean, ipcCI  float64
-	relHalf         float64
-	fixedWindows    int
-	adaptiveWindows int
-	windowBudget    int
-	targetMet       bool
-}
-
-// runAdaptiveSoundness executes Part A and appends violations.
-func runAdaptiveSoundness(w io.Writer, violations *[]string) (adaptiveGateResult, error) {
-	var out adaptiveGateResult
-	prof, ok := trace.ProfileByName(adaptiveGateTrace)
-	if !ok {
-		return out, fmt.Errorf("unknown profile %q", adaptiveGateTrace)
-	}
-	prog, err := trace.BuildProgram(prof)
+// autopilotGrid builds the seeded ablation's jobs and the baseline job.
+func autopilotGrid() ([]runq.Job, *runq.Job, error) {
+	jobs, err := ablationJobs(autopilotGateTrace, autopilotGateWarmup, autopilotGateMeasure,
+		append(autopilotConfigs(), harness.BaselineCfg()))
 	if err != nil {
-		return out, fmt.Errorf("building %s: %v", adaptiveGateTrace, err)
+		return nil, nil, err
 	}
-	newSrc := func() trace.Source {
-		return trace.NewLimit(trace.NewWalker(prog), adaptiveGateWarmup+adaptiveGateMeasure+200_000)
+	n := len(jobs) - 1
+	return jobs[:n:n], &jobs[n], nil
+}
+
+// adaptiveGateResult is Part A's measurements, the record's adaptive
+// object.
+type adaptiveGateResult struct {
+	Trace           string  `json:"trace"`
+	TargetCI        float64 `json:"target_ci"`
+	FullIPC         float64 `json:"full_ipc"`
+	IPCMean         float64 `json:"adaptive_ipc_mean"`
+	IPCCI           float64 `json:"adaptive_ipc_ci95"`
+	RelHalf         float64 `json:"achieved_rel_half"`
+	FixedWindows    int     `json:"fixed_windows"`
+	AdaptiveWindows int     `json:"adaptive_windows"`
+	WindowBudget    int     `json:"window_budget"`
+	TargetMet       bool    `json:"target_met"`
+}
+
+// searchGateResult is Part B's measurements, the record's autopilot
+// object.
+type searchGateResult struct {
+	Trace              string  `json:"trace"`
+	Configs            int     `json:"configs"`
+	CoarseTargetCI     float64 `json:"coarse_target_ci"`
+	FinalTargetCI      float64 `json:"final_target_ci"`
+	Winner             string  `json:"winner"`
+	Rounds             int     `json:"rounds"`
+	Pruned             int     `json:"pruned"`
+	SearchSpent        uint64  `json:"search_spent_insts"`
+	ExhaustiveSpent    uint64  `json:"exhaustive_spent_insts"`
+	SpendRatio         float64 `json:"spend_ratio"`
+	MinSpendRatioBound float64 `json:"min_spend_ratio_bound"`
+}
+
+// autopilotBench is the gate's BENCH_autopilot.json payload.
+type autopilotBench struct {
+	Adaptive  adaptiveGateResult `json:"adaptive"`
+	Autopilot searchGateResult   `json:"autopilot"`
+}
+
+// runAdaptiveSoundness executes Part A and records its violations in v.
+func runAdaptiveSoundness(w io.Writer, v *violations) (adaptiveGateResult, error) {
+	out := adaptiveGateResult{Trace: adaptiveGateTrace, TargetCI: adaptiveGateTarget}
+	run, err := programRun(adaptiveGateTrace, adaptiveGateWarmup, adaptiveGateMeasure)
+	if err != nil {
+		return out, err
 	}
 	cfg := harness.BaselineCfg()
-	cfg.WarmupInsts, cfg.MeasureInsts = adaptiveGateWarmup, adaptiveGateMeasure
-
-	full, err := sim.Run(cfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("full-detail reference: %v", err)
-	}
-
 	fixedCfg := cfg
 	fixedCfg.Sampling = sim.FastSampling()
-	fixed, err := sim.Run(fixedCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("fixed-geometry run: %v", err)
-	}
-
 	adCfg := fixedCfg
 	adCfg.Sampling.TargetCI = adaptiveGateTarget
-	adaptive, err := sim.Run(adCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("adaptive run: %v", err)
+	var rs [4]sim.Result
+	for i, r := range []struct {
+		name string
+		cfg  sim.Config
+	}{{"full-detail reference", cfg}, {"fixed-geometry run", fixedCfg}, {"adaptive run", adCfg}, {"adaptive repeat", adCfg}} {
+		if rs[i], _, err = run(r.cfg); err != nil {
+			return out, fmt.Errorf("%s: %v", r.name, err)
+		}
 	}
-	again, err := sim.Run(adCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("adaptive repeat: %v", err)
-	}
-	if adaptive.DeterminismDigest() != again.DeterminismDigest() {
-		*violations = append(*violations, "adaptive: two passes digest differently")
-	}
+	full, fixed, adaptive, again := rs[0], rs[1], rs[2], rs[3]
+	v.check(adaptive.DeterminismDigest() == again.DeterminismDigest(), "adaptive: two passes digest differently")
 
 	s := adaptive.Sampled
-	out = adaptiveGateResult{
-		fullIPC: full.IPC, ipcMean: s.IPCMean, ipcCI: s.IPCCI95,
-		fixedWindows: fixed.Sampled.Windows, adaptiveWindows: s.Windows,
-		windowBudget: s.WindowBudget, targetMet: s.TargetMet,
-	}
+	out.FullIPC, out.IPCMean, out.IPCCI = full.IPC, s.IPCMean, s.IPCCI95
+	out.FixedWindows, out.AdaptiveWindows = fixed.Sampled.Windows, s.Windows
+	out.WindowBudget, out.TargetMet = s.WindowBudget, s.TargetMet
 	if s.IPCMean > 0 {
-		out.relHalf = s.IPCCI95 / s.IPCMean
+		out.RelHalf = s.IPCCI95 / s.IPCMean
 	}
-	if !s.TargetMet {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: target ±%.1f%% unmet within the %d-window budget", adaptiveGateTarget*100, s.WindowBudget))
-	}
-	if s.Windows >= fixed.Sampled.Windows {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: %d windows, no fewer than the fixed geometry's %d", s.Windows, fixed.Sampled.Windows))
-	}
-	if bias := math.Abs(s.IPCMean - full.IPC); bias > s.IPCCI95 {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: full-detail IPC %.4f outside the claimed interval %.4f ± %.4f",
-			full.IPC, s.IPCMean, s.IPCCI95))
-	}
+	v.check(s.TargetMet, "adaptive: target ±%.1f%% unmet within the %d-window budget",
+		adaptiveGateTarget*100, s.WindowBudget)
+	v.check(s.Windows < fixed.Sampled.Windows, "adaptive: %d windows, no fewer than the fixed geometry's %d",
+		s.Windows, fixed.Sampled.Windows)
+	v.check(math.Abs(s.IPCMean-full.IPC) <= s.IPCCI95,
+		"adaptive: full-detail IPC %.4f outside the claimed interval %.4f ± %.4f", full.IPC, s.IPCMean, s.IPCCI95)
 	fmt.Fprintf(w, "  adaptive: %s full IPC %.4f; fixed %d windows; adaptive %d/%d windows, IPC %.4f ±%.4f (±%.2f%%, target ±%.0f%%, met=%v)\n",
 		adaptiveGateTrace, full.IPC, fixed.Sampled.Windows, s.Windows, s.WindowBudget,
-		s.IPCMean, s.IPCCI95, out.relHalf*100, adaptiveGateTarget*100, s.TargetMet)
+		s.IPCMean, s.IPCCI95, out.RelHalf*100, adaptiveGateTarget*100, s.TargetMet)
 	return out, nil
 }
 
@@ -256,93 +242,75 @@ func runAutopilotSweep(w io.Writer, hopts harness.Options, finalTarget float64) 
 	return nil
 }
 
-// runAutopilotGate executes both halves, writes benchPath, regenerates
-// the EXPERIMENTS_RESULTS.md Pareto section, and returns an error when
-// any bound is violated.
-func runAutopilotGate(w io.Writer, benchPath, resultsPath string) error {
-	var violations []string
-
-	fmt.Fprintf(w, "autopilot gate: adaptive soundness (%s, %d+%d insts, FastSampling + ±%.0f%% target)\n",
-		adaptiveGateTrace, adaptiveGateWarmup, adaptiveGateMeasure, adaptiveGateTarget*100)
-	ad, err := runAdaptiveSoundness(w, &violations)
+// runAutopilotGate executes both halves, regenerates the
+// EXPERIMENTS_RESULTS.md Pareto section, and checks the bounds.
+func runAutopilotGate(w io.Writer) (any, []string, error) {
+	var v violations
+	ad, err := runAdaptiveSoundness(w, &v)
 	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
+		return nil, nil, err
 	}
 
 	grid, baseline, err := autopilotGrid()
 	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
+		return nil, nil, err
 	}
-	fmt.Fprintf(w, "autopilot gate: confidence-pruned search (%s, %d configs, ±%.0f%%→±%.0f%% targets)\n",
-		autopilotGateTrace, len(grid), autopilotGateCoarse*100, autopilotGateFinal*100)
-
 	search, err := autopilot.Search(autopilotOpts(newAutopilotPool(), grid, baseline))
 	if err != nil {
-		return fmt.Errorf("autopilot gate: search: %v", err)
+		return nil, nil, fmt.Errorf("search: %v", err)
 	}
 	exhaustive, err := autopilot.Exhaustive(autopilotOpts(newAutopilotPool(), grid, baseline))
 	if err != nil {
-		return fmt.Errorf("autopilot gate: exhaustive: %v", err)
+		return nil, nil, fmt.Errorf("exhaustive: %v", err)
 	}
 	searchAgain, err := autopilot.Search(autopilotOpts(newAutopilotPool(), grid, baseline))
 	if err != nil {
-		return fmt.Errorf("autopilot gate: search repeat: %v", err)
+		return nil, nil, fmt.Errorf("search repeat: %v", err)
 	}
 
-	winner := search.Candidates[search.WinnerIndex].Job.Config.Name
+	sr := searchGateResult{
+		Trace: autopilotGateTrace, Configs: len(search.Candidates),
+		CoarseTargetCI: autopilotGateCoarse, FinalTargetCI: autopilotGateFinal,
+		Winner: search.Candidates[search.WinnerIndex].Job.Config.Name,
+		Rounds: search.Rounds, SearchSpent: search.TotalSpentInsts,
+		ExhaustiveSpent: exhaustive.TotalSpentInsts, MinSpendRatioBound: autopilotMinSpendRatio,
+	}
 	exWinner := exhaustive.Candidates[exhaustive.WinnerIndex].Job.Config.Name
-	if search.WinnerIndex != exhaustive.WinnerIndex {
-		violations = append(violations, fmt.Sprintf(
-			"search winner %s differs from exhaustive winner %s", winner, exWinner))
-	}
-	ratio := 0.0
+	v.check(search.WinnerIndex == exhaustive.WinnerIndex,
+		"search winner %s differs from exhaustive winner %s", sr.Winner, exWinner)
 	if search.TotalSpentInsts > 0 {
-		ratio = float64(exhaustive.TotalSpentInsts) / float64(search.TotalSpentInsts)
+		sr.SpendRatio = float64(exhaustive.TotalSpentInsts) / float64(search.TotalSpentInsts)
 	}
-	if ratio < autopilotMinSpendRatio {
-		violations = append(violations, fmt.Sprintf(
-			"spend ratio %.2fx below the %.1fx bound (search %d vs exhaustive %d insts)",
-			ratio, autopilotMinSpendRatio, search.TotalSpentInsts, exhaustive.TotalSpentInsts))
-	}
+	v.check(sr.SpendRatio >= autopilotMinSpendRatio,
+		"spend ratio %.2fx below the %.1fx bound (search %d vs exhaustive %d insts)",
+		sr.SpendRatio, autopilotMinSpendRatio, search.TotalSpentInsts, exhaustive.TotalSpentInsts)
 	switch {
 	case searchAgain.WinnerIndex != search.WinnerIndex:
-		violations = append(violations, "second search names a different winner")
+		v = append(v, "second search names a different winner")
 	case searchAgain.Rounds != search.Rounds || searchAgain.TotalSpentInsts != search.TotalSpentInsts:
-		violations = append(violations, fmt.Sprintf(
-			"second search spent differently (%d rounds / %d insts vs %d / %d)",
+		v = append(v, fmt.Sprintf("second search spent differently (%d rounds / %d insts vs %d / %d)",
 			searchAgain.Rounds, searchAgain.TotalSpentInsts, search.Rounds, search.TotalSpentInsts))
 	case searchAgain.Candidates[searchAgain.WinnerIndex].Result.DeterminismDigest() !=
 		search.Candidates[search.WinnerIndex].Result.DeterminismDigest():
-		violations = append(violations, "second search's winning digest diverges")
+		v = append(v, "second search's winning digest diverges")
 	}
-	pruned := 0
 	for i := range search.Candidates {
 		if search.Candidates[i].PrunedRound > 0 {
-			pruned++
+			sr.Pruned++
 		}
 	}
 	fmt.Fprintf(w, "  search: winner %s after %d rounds, %d/%d pruned, %.1f Minsts spent\n",
-		winner, search.Rounds, pruned, len(search.Candidates), float64(search.TotalSpentInsts)/1e6)
+		sr.Winner, search.Rounds, sr.Pruned, len(search.Candidates), float64(search.TotalSpentInsts)/1e6)
 	fmt.Fprintf(w, "  exhaustive: winner %s, %.1f Minsts spent — search spends %.2fx less (bound: ≥%.1fx)\n",
-		exWinner, float64(exhaustive.TotalSpentInsts)/1e6, ratio, autopilotMinSpendRatio)
+		exWinner, float64(exhaustive.TotalSpentInsts)/1e6, sr.SpendRatio, autopilotMinSpendRatio)
 
 	var table strings.Builder
 	search.WriteMarkdown(&table)
-	if err := spliceAutopilotResults(resultsPath, table.String()); err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
+	if err := spliceAutopilotResults(autopilotResultsPath, table.String()); err != nil {
+		return nil, nil, err
 	}
-	fmt.Fprintf(w, "  Pareto table regenerated in %s\n", resultsPath)
-
-	if err := writeAutopilotBench(benchPath, ad, winner, search, exhaustive, ratio, pruned); err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "autopilot gate: %s\n", v)
-		}
-		return fmt.Errorf("autopilot gate: %d bound violation(s)", len(violations))
-	}
-	return nil
+	fmt.Fprintf(w, "  Pareto table regenerated in %s\n", autopilotResultsPath)
+	return autopilotBench{Adaptive: ad, Autopilot: sr}, v, nil
 }
 
 // spliceAutopilotResults replaces the generated Pareto section of
@@ -355,11 +323,8 @@ func spliceAutopilotResults(path, table string) error {
 			autopilotGateCoarse*100, autopilotGateFinal*100) +
 		table + "\n" + autopilotEndMarker
 	data, err := os.ReadFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			return err
-		}
-		data = nil
+	if err != nil && !os.IsNotExist(err) {
+		return err
 	}
 	text := string(data)
 	begin := strings.Index(text, autopilotBeginMarker)
@@ -373,47 +338,4 @@ func spliceAutopilotResults(path, table string) error {
 		text += "\n## Autopilot — confidence-pruned ablation search\n\n" + section + "\n"
 	}
 	return os.WriteFile(path, []byte(text), 0o644)
-}
-
-// writeAutopilotBench records both halves' measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeAutopilotBench(path string, ad adaptiveGateResult, winner string,
-	search, exhaustive *autopilot.Report, ratio float64, pruned int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"autopilot gate (adaptive sampling on %s; pruned vs exhaustive %d-config search on %s)\",\n",
-		adaptiveGateTrace, len(search.Candidates), autopilotGateTrace)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"adaptive\": {\n")
-	fmt.Fprintf(f, "    \"trace\": %q,\n", adaptiveGateTrace)
-	fmt.Fprintf(f, "    \"target_ci\": %.3f,\n", adaptiveGateTarget)
-	fmt.Fprintf(f, "    \"full_ipc\": %.4f,\n", ad.fullIPC)
-	fmt.Fprintf(f, "    \"adaptive_ipc_mean\": %.4f,\n", ad.ipcMean)
-	fmt.Fprintf(f, "    \"adaptive_ipc_ci95\": %.4f,\n", ad.ipcCI)
-	fmt.Fprintf(f, "    \"achieved_rel_half\": %.4f,\n", ad.relHalf)
-	fmt.Fprintf(f, "    \"fixed_windows\": %d,\n", ad.fixedWindows)
-	fmt.Fprintf(f, "    \"adaptive_windows\": %d,\n", ad.adaptiveWindows)
-	fmt.Fprintf(f, "    \"window_budget\": %d,\n", ad.windowBudget)
-	fmt.Fprintf(f, "    \"target_met\": %v\n", ad.targetMet)
-	fmt.Fprintf(f, "  },\n")
-	fmt.Fprintf(f, "  \"autopilot\": {\n")
-	fmt.Fprintf(f, "    \"trace\": %q,\n", autopilotGateTrace)
-	fmt.Fprintf(f, "    \"configs\": %d,\n", len(search.Candidates))
-	fmt.Fprintf(f, "    \"coarse_target_ci\": %.3f,\n", autopilotGateCoarse)
-	fmt.Fprintf(f, "    \"final_target_ci\": %.3f,\n", autopilotGateFinal)
-	fmt.Fprintf(f, "    \"winner\": %q,\n", winner)
-	fmt.Fprintf(f, "    \"rounds\": %d,\n", search.Rounds)
-	fmt.Fprintf(f, "    \"pruned\": %d,\n", pruned)
-	fmt.Fprintf(f, "    \"search_spent_insts\": %d,\n", search.TotalSpentInsts)
-	fmt.Fprintf(f, "    \"exhaustive_spent_insts\": %d,\n", exhaustive.TotalSpentInsts)
-	fmt.Fprintf(f, "    \"spend_ratio\": %.2f,\n", ratio)
-	fmt.Fprintf(f, "    \"min_spend_ratio_bound\": %.1f\n", autopilotMinSpendRatio)
-	fmt.Fprintf(f, "  }\n")
-	fmt.Fprintf(f, "}\n")
-	return nil
 }

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"ucp/internal/harness"
 	"ucp/internal/sim"
-	"ucp/internal/trace"
 )
 
 // The sampled-simulation gate: a paired full-vs-sampled sweep over the
@@ -34,161 +31,96 @@ const (
 	sampleGateMinSpd  = 10.0
 )
 
-type samplePoint struct {
-	label string
-	cfg   sim.Config
-}
-
-// sampleRow is one measured gate point.
+// sampleRow is one measured gate point, an element of the record's
+// points list.
 type sampleRow struct {
-	label               string
-	fullIPC, sampledIPC float64
-	relErr              float64
-	fullMS, sampledMS   int64
-	windows             int
-	ipcCI95             float64
-	skipped, ff, detail uint64
+	Config     string  `json:"config"`
+	FullIPC    float64 `json:"full_ipc"`
+	SampledIPC float64 `json:"sampled_ipc"`
+	IPCErr     float64 `json:"ipc_err"`
+	IPCCI95    float64 `json:"ipc_ci95"`
+	Windows    int     `json:"windows"`
+	FullMS     int64   `json:"full_ms"`
+	SampledMS  int64   `json:"sampled_ms"`
+	Skipped    uint64  `json:"skipped_insts"`
+	FF         uint64  `json:"functional_insts"`
+	Detailed   uint64  `json:"detailed_insts"`
 }
 
-func sampleGatePoints() []samplePoint {
-	return []samplePoint{
-		{"no-uop-cache", harness.NoUop()},
-		{"baseline", harness.BaselineCfg()},
-		{"UCP", harness.UCP()},
-	}
+// sampleBench is the gate's BENCH_sampling.json payload.
+type sampleBench struct {
+	MaxIPCErrBound  float64     `json:"max_ipc_err_bound"`
+	MinSpeedupBound float64     `json:"min_speedup_bound"`
+	Points          []sampleRow `json:"points"`
+	MaxIPCErr       float64     `json:"max_ipc_err"`
+	FullTotalMS     int64       `json:"full_total_ms"`
+	SampledTotalMS  int64       `json:"sampled_total_ms"`
+	Speedup         float64     `json:"speedup"`
 }
 
-// runSampleGate executes the paired sweep, writes benchPath, and
-// returns an error when any bound is violated.
-func runSampleGate(w io.Writer, benchPath string) error {
-	prof, ok := trace.ProfileByName(sampleGateTrace)
-	if !ok {
-		return fmt.Errorf("sample gate: unknown profile %q", sampleGateTrace)
-	}
-	prog, err := trace.BuildProgram(prof)
+// runSampleGate executes the paired sweep and checks its bounds.
+func runSampleGate(w io.Writer) (any, []string, error) {
+	run, err := programRun(sampleGateTrace, sampleGateWarmup, sampleGateMeasure)
 	if err != nil {
-		return fmt.Errorf("sample gate: building %s: %v", sampleGateTrace, err)
-	}
-	newSrc := func() trace.Source {
-		return trace.NewLimit(trace.NewWalker(prog), sampleGateWarmup+sampleGateMeasure+200_000)
+		return nil, nil, err
 	}
 
 	var (
-		rows                   []sampleRow
+		bench                  = sampleBench{MaxIPCErrBound: sampleGateMaxErr, MinSpeedupBound: sampleGateMinSpd}
 		totalFull, totalSample time.Duration
-		violations             []string
+		v                      violations
 	)
-	fmt.Fprintf(w, "sample gate: %s, %d warmup + %d measured insts, FastSampling geometry\n",
-		sampleGateTrace, sampleGateWarmup, sampleGateMeasure)
-	for _, pt := range sampleGatePoints() {
-		cfg := pt.cfg
-		cfg.WarmupInsts, cfg.MeasureInsts = sampleGateWarmup, sampleGateMeasure
-
-		t0 := time.Now() //ucplint:ignore wallclock
-		full, err := sim.Run(cfg, newSrc(), prog, sampleGateTrace)
+	for _, pt := range []struct {
+		label string
+		cfg   sim.Config
+	}{{"no-uop-cache", harness.NoUop()}, {"baseline", harness.BaselineCfg()}, {"UCP", harness.UCP()}} {
+		full, fullDur, err := run(pt.cfg)
 		if err != nil {
-			return fmt.Errorf("sample gate: full %s: %v", pt.label, err)
+			return nil, nil, fmt.Errorf("full %s: %v", pt.label, err)
 		}
-		fullDur := time.Since(t0) //ucplint:ignore wallclock
-
-		scfg := cfg
+		scfg := pt.cfg
 		scfg.Sampling = sim.FastSampling()
-		t1 := time.Now() //ucplint:ignore wallclock
-		sampled, err := sim.Run(scfg, newSrc(), prog, sampleGateTrace)
+		sampled, sampledDur, err := run(scfg)
 		if err != nil {
-			return fmt.Errorf("sample gate: sampled %s: %v", pt.label, err)
+			return nil, nil, fmt.Errorf("sampled %s: %v", pt.label, err)
 		}
-		sampledDur := time.Since(t1) //ucplint:ignore wallclock
 
 		// Determinism: a second sampled pass must digest identically.
-		again, err := sim.Run(scfg, newSrc(), prog, sampleGateTrace)
+		again, _, err := run(scfg)
 		if err != nil {
-			return fmt.Errorf("sample gate: sampled repeat %s: %v", pt.label, err)
+			return nil, nil, fmt.Errorf("sampled repeat %s: %v", pt.label, err)
 		}
-		if a, b := sampled.DeterminismDigest(), again.DeterminismDigest(); a != b {
-			violations = append(violations,
-				fmt.Sprintf("%s: two sampled passes digest differently", pt.label))
-		}
+		v.check(sampled.DeterminismDigest() == again.DeterminismDigest(),
+			"%s: two sampled passes digest differently", pt.label)
 
 		relErr := math.Abs(sampled.IPC-full.IPC) / full.IPC
 		totalFull += fullDur
 		totalSample += sampledDur
 		s := sampled.Sampled
-		rows = append(rows, sampleRow{
-			label: pt.label, fullIPC: full.IPC, sampledIPC: sampled.IPC,
-			relErr: relErr, fullMS: fullDur.Milliseconds(), sampledMS: sampledDur.Milliseconds(),
-			windows: s.Windows, ipcCI95: s.IPCCI95,
-			skipped: s.SkippedInsts, ff: s.FFInsts, detail: s.DetailedInsts,
+		bench.Points = append(bench.Points, sampleRow{
+			Config: pt.label, FullIPC: full.IPC, SampledIPC: sampled.IPC,
+			IPCErr: relErr, IPCCI95: s.IPCCI95, Windows: s.Windows,
+			FullMS: fullDur.Milliseconds(), SampledMS: sampledDur.Milliseconds(),
+			Skipped: s.SkippedInsts, FF: s.FFInsts, Detailed: s.DetailedInsts,
 		})
+		bench.MaxIPCErr = math.Max(bench.MaxIPCErr, relErr)
 		status := "ok"
-		if relErr >= sampleGateMaxErr {
+		if !v.check(relErr < sampleGateMaxErr, "%s: IPC error %.2f%% exceeds the %.0f%% bound",
+			pt.label, relErr*100, sampleGateMaxErr*100) {
 			status = "FAIL"
-			violations = append(violations, fmt.Sprintf(
-				"%s: IPC error %.2f%% exceeds the %.0f%% bound", pt.label, relErr*100, sampleGateMaxErr*100))
 		}
 		fmt.Fprintf(w, "  %-14s full IPC %.4f (%5dms)  sampled IPC %.4f ±%.4f (%4dms, %d windows)  err %.2f%%  %s\n",
 			pt.label, full.IPC, fullDur.Milliseconds(), sampled.IPC, s.IPCCI95,
 			sampledDur.Milliseconds(), s.Windows, relErr*100, status)
 	}
 
-	speedup := 0.0
 	if totalSample > 0 {
-		speedup = float64(totalFull) / float64(totalSample)
+		bench.Speedup = float64(totalFull) / float64(totalSample)
 	}
-	if speedup < sampleGateMinSpd {
-		violations = append(violations, fmt.Sprintf(
-			"aggregate speedup %.1fx below the %.0fx bound", speedup, sampleGateMinSpd))
-	}
+	v.check(bench.Speedup >= sampleGateMinSpd, "aggregate speedup %.1fx below the %.0fx bound",
+		bench.Speedup, sampleGateMinSpd)
+	bench.FullTotalMS, bench.SampledTotalMS = totalFull.Milliseconds(), totalSample.Milliseconds()
 	fmt.Fprintf(w, "  aggregate: full %dms, sampled %dms — %.1fx speedup (bound: ≥%.0fx, err <%.0f%%)\n",
-		totalFull.Milliseconds(), totalSample.Milliseconds(), speedup,
-		sampleGateMinSpd, sampleGateMaxErr*100)
-
-	if err := writeSampleBench(benchPath, rows, totalFull, totalSample, speedup); err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "sample gate: %s\n", v)
-		}
-		return fmt.Errorf("sample gate: %d bound violation(s)", len(violations))
-	}
-	return nil
-}
-
-// writeSampleBench records the gate's measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeSampleBench(path string, rows []sampleRow, totalFull, totalSample time.Duration, speedup float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sample gate: %v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"sampled-simulation gate (%s, %d+%d insts, full vs FastSampling)\",\n",
-		sampleGateTrace, sampleGateWarmup, sampleGateMeasure)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"max_ipc_err_bound\": %.2f,\n", sampleGateMaxErr)
-	fmt.Fprintf(f, "  \"min_speedup_bound\": %.1f,\n", sampleGateMinSpd)
-	maxErr := 0.0
-	fmt.Fprintf(f, "  \"points\": [\n")
-	for i, r := range rows {
-		if r.relErr > maxErr {
-			maxErr = r.relErr
-		}
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(f, "    {\"config\": %q, \"full_ipc\": %.4f, \"sampled_ipc\": %.4f, \"ipc_err\": %.4f, \"ipc_ci95\": %.4f, \"windows\": %d, \"full_ms\": %d, \"sampled_ms\": %d, \"skipped_insts\": %d, \"functional_insts\": %d, \"detailed_insts\": %d}%s\n",
-			r.label, r.fullIPC, r.sampledIPC, r.relErr, r.ipcCI95, r.windows,
-			r.fullMS, r.sampledMS, r.skipped, r.ff, r.detail, comma)
-	}
-	fmt.Fprintf(f, "  ],\n")
-	fmt.Fprintf(f, "  \"max_ipc_err\": %.4f,\n", maxErr)
-	fmt.Fprintf(f, "  \"full_total_ms\": %d,\n", totalFull.Milliseconds())
-	fmt.Fprintf(f, "  \"sampled_total_ms\": %d,\n", totalSample.Milliseconds())
-	fmt.Fprintf(f, "  \"speedup\": %.2f\n", speedup)
-	fmt.Fprintf(f, "}\n")
-	return nil
+		bench.FullTotalMS, bench.SampledTotalMS, bench.Speedup, sampleGateMinSpd, sampleGateMaxErr*100)
+	return bench, v, nil
 }

@@ -1,0 +1,302 @@
+package main
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"os"
+	"runtime"
+	"time"
+
+	"ucp/internal/harness"
+	"ucp/internal/runq"
+	"ucp/internal/sim"
+	"ucp/internal/trace"
+)
+
+// The span gates: one UCP run on crypto01 executed in this one process
+// through a serial reference pass and then through the internal/wpar
+// span executor several ways, so every wall-clock ratio compares like
+// against like. The tpar row covers full-detail runs split into
+// segments, the wpar row sampled runs split per measured window; the
+// passes and bounds are shared:
+//
+//   - the reference pass: serial (tpar) or the chain-serial sampled run,
+//     which carries machine state across windows (wpar);
+//   - the span passes: workers=1, workers=GOMAXPROCS, a checkpoint-
+//     capturing pass and a checkpoint-restoring pass over one temp
+//     CkptDir; wpar adds an adaptive pass at both worker counts.
+//
+// Gated bounds, also documented in EXPERIMENTS.md:
+//   - worker-count invariance: the span digests at 1 worker and at
+//     GOMAXPROCS workers must be byte-identical (the serial reference
+//     for the parallel mode is its own workers=1 run);
+//   - checkpoint neutrality: the capture pass and the restore pass must
+//     digest byte-identically to the cold span run, capture one
+//     boundary blob per span, and the restore pass must actually hit
+//     the store once per span;
+//   - wpar only: the window plan yields the fixed window count, and the
+//     adaptive run stops at the same window and digests byte-identically
+//     at both worker counts — speculative windows dispatched past the
+//     stop point are discarded deterministically;
+//   - span error: |span IPC − reference IPC| / reference IPC < 2%.
+//     For tpar that is the boundary-warming error, for wpar the
+//     window-independence error (wpar boundary-warms each window
+//     independently) — same bar as the sampling gate, since all of
+//     them subsample history;
+//   - scaling (multi-core hosts only): t(workers=1) / t(workers=N)
+//     ≥ 0.7 · min(cores, spans). On a single-core host the spans
+//     time-slice one CPU, so the record carries a note instead.
+const (
+	spanGateTrace     = "crypto01"
+	spanGateMaxIPCErr = 0.02
+	spanGateScaleFrac = 0.7
+
+	tparGateWarmup   = 800_000
+	tparGateMeasure  = 700_000
+	tparGateSegments = 4
+
+	wparGateWarmup   = 400_000
+	wparGateMeasure  = 4_000_000
+	wparGateWindows  = 20
+	wparGateTargetCI = 0.05
+)
+
+// spanGate is one row of the span-gate table.
+type spanGate struct {
+	id, bench string
+	ref       string   // reference pass name: "serial" or "chain"
+	refJob    runq.Job // reference job; Profile is filled at run time
+	spanJob   runq.Job // the same run through the span executor
+	spans     int      // segments or windows the plan must yield
+	spanNoun  string   // "segments" or "windows", also their record key
+	errName   string   // what the span IPC error measures
+	// adaptiveCI > 0 marks a sampled plan: the gate checks the window
+	// count and runs the adaptive pair at this CI target.
+	adaptiveCI float64
+	keys       spanKeys
+}
+
+// spanKeys names the record fields whose keys differ between rows.
+type spanKeys struct {
+	refMS, w1MS, wNMS, speedup, ipcErrPct string
+}
+
+// tparGateBoundary is the conservative boundary-warm geometry the tpar
+// gate runs — the same posture as DefaultBoundaryWarm: zero Cache/BP
+// budgets warm the entire skip zone, so no long-history state is ever
+// dropped at a boundary. On crypto01 that holds the boundary-warming
+// IPC error to ~0.6%; the bounded geometries trade error for boundary
+// cost and land above the 2% bar (EXPERIMENTS.md).
+func tparGateBoundary() sim.BoundaryWarm {
+	return sim.BoundaryWarm{
+		DetailedInsts: 5_000,
+		FFInsts:       50_000,
+	}
+}
+
+// wparGateSampling is the wpar gate's sampling geometry: the
+// conservative posture (zero Cache/BP budgets warm the entire skip
+// zone, so no long-history predictor or cache state is ever dropped)
+// with a 200K period so the 4M measured budget yields 20 windows —
+// enough parallelism to scale past small core counts and enough
+// samples for a meaningful CI. The conservative horizons matter doubly
+// here: the chain-serial reference carries machine state across
+// windows, so a window-parallel run with bounded horizons would
+// cold-start each window into a ~13% IPC gap on crypto01, while
+// full-zone warming holds the window-independence error under the 2%
+// bar.
+func wparGateSampling() sim.SamplingConfig {
+	sc := sim.ConservativeSampling()
+	sc.PeriodInsts = wparGateMeasure / wparGateWindows
+	// A longer detailed warm than the stock geometry: each measured
+	// window is only 5K instructions, so the per-window µ-op-cache and
+	// frontend transient is a far larger fraction of the measurement
+	// than in a full-detail segment; 20K of cycle-accurate warm absorbs
+	// it on both sides of the comparison.
+	sc.WarmInsts = 20_000
+	return sc
+}
+
+// spanGates returns the two rows. tpar: the paper's headline
+// configuration at figure-scale budgets, serial vs 4 boundary-warmed
+// segments. wpar: the headline configuration under a bounded-horizon
+// sampling geometry whose fixed budget is 20 windows, chain-serial vs
+// one span per window.
+func spanGates() (tpar, wpar spanGate) {
+	ref := runq.Job{Config: harness.UCP(), Warmup: tparGateWarmup, Measure: tparGateMeasure}
+	span := ref
+	span.Segments = tparGateSegments
+	span.Boundary = tparGateBoundary()
+	tpar = spanGate{
+		id: "tpar",
+		bench: fmt.Sprintf("tpar gate (%s, UCP full-detail, %d segments, serial vs time-parallel)",
+			spanGateTrace, tparGateSegments),
+		ref: "serial", refJob: ref, spanJob: span,
+		spans: tparGateSegments, spanNoun: "segments", errName: "boundary-warming",
+		keys: spanKeys{"serial_ms", "tpar_w1_ms", "tpar_wN_ms",
+			"speedup_vs_serial", "boundary_ipc_err_pct"},
+	}
+
+	cfg := harness.UCP()
+	cfg.Sampling = wparGateSampling()
+	ref = runq.Job{Config: cfg, Warmup: wparGateWarmup, Measure: wparGateMeasure}
+	span = ref
+	span.Segments = 2 // any value > 1 opts a sampled job into wpar
+	wpar = spanGate{
+		id: "wpar",
+		bench: fmt.Sprintf("wpar gate (%s, UCP sampled, %d windows, chain-serial vs window-parallel)",
+			spanGateTrace, wparGateWindows),
+		ref: "chain", refJob: ref, spanJob: span,
+		spans: wparGateWindows, spanNoun: "windows", errName: "window-independence",
+		adaptiveCI: wparGateTargetCI,
+		keys: spanKeys{"chain_serial_ms", "wpar_w1_ms", "wpar_wN_ms",
+			"speedup_vs_chain", "window_independence_ipc_err_pct"},
+	}
+	return tpar, wpar
+}
+
+// spanPass is one pass of a span gate: a job run on a fresh pool.
+type spanPass struct {
+	pool *runq.Pool
+	res  sim.Result
+	dur  time.Duration
+}
+
+// run executes the row's passes and checks the shared bounds. The
+// payload is a map because the two rows name the same measurements
+// differently (spanKeys).
+func (g spanGate) run(w io.Writer) (any, []string, error) {
+	prof, ok := trace.ProfileByName(spanGateTrace)
+	if !ok {
+		return nil, nil, fmt.Errorf("unknown profile %q", spanGateTrace)
+	}
+	g.refJob.Profile, g.spanJob.Profile = prof, prof
+	cores := runtime.GOMAXPROCS(0)
+
+	// Checkpoint passes share an on-disk store: the first captures one
+	// blob per span boundary, the second must rebuild every span from
+	// them — and both must be byte-identical to the cold runs.
+	ckptDir, err := os.MkdirTemp("", "ucp-"+g.id+"-gate-")
+	if err != nil {
+		return nil, nil, err
+	}
+	defer os.RemoveAll(ckptDir)
+
+	// pass runs in order; after the first failure it is a no-op and err
+	// names the failed pass.
+	pass := func(name string, opts runq.Options, job runq.Job) spanPass {
+		if err != nil {
+			return spanPass{}
+		}
+		p := spanPass{pool: runq.New(opts)}
+		var rs []sim.Result
+		if rs, p.dur, err = timedRunAll(p.pool, []runq.Job{job}); err != nil {
+			err = fmt.Errorf("%s pass: %v", name, err)
+			return spanPass{}
+		}
+		p.res = rs[0]
+		return p
+	}
+	wN := fmt.Sprintf("workers=%d", cores)
+	ref := pass(g.ref, runq.Options{Workers: 1}, g.refJob)
+	span1 := pass("workers=1", runq.Options{Workers: 1}, g.spanJob)
+	spanN := pass(wN, runq.Options{Workers: cores}, g.spanJob)
+	capt := pass("capture", runq.Options{Workers: cores, CkptDir: ckptDir}, g.spanJob)
+	rest := pass("restore", runq.Options{Workers: cores, CkptDir: ckptDir}, g.spanJob)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	var v violations
+	spanDigest := span1.res.DeterminismDigest()
+	v.check(spanN.res.DeterminismDigest() == spanDigest, "%s digest diverges from workers=1", wN)
+	v.check(capt.res.DeterminismDigest() == spanDigest, "checkpoint-capturing digest diverges from cold")
+	v.check(rest.res.DeterminismDigest() == spanDigest, "checkpoint-restored digest diverges from cold")
+	digestsIdentical := len(v) == 0
+	captured, _ := capt.pool.CheckpointStats()
+	_, restoredHits := rest.pool.CheckpointStats()
+	v.check(captured == g.spans, "capture pass published %d boundary checkpoint(s), want %d", captured, g.spans)
+	v.check(restoredHits == g.spans, "restore pass hit %d boundary checkpoint(s), want %d", restoredHits, g.spans)
+
+	// The reference runs the same instructions without span boundaries;
+	// the residual is the error the boundary warming introduces,
+	// bounded like the other subsampling errors.
+	ipcErr := math.Abs(spanN.res.IPC-ref.res.IPC) / ref.res.IPC
+	v.check(ipcErr < spanGateMaxIPCErr, "%s IPC error %.2f%% at or above the %.0f%% bound",
+		g.errName, ipcErr*100, spanGateMaxIPCErr*100)
+
+	// Scaling is honest only when there are cores to scale onto: the
+	// reference-vs-span speedup conflates parallelism with the warming
+	// pyramid replacing the serial warmup, so the gated metric is
+	// span-vs-span at two worker counts.
+	scaling, speedup := 0.0, 0.0
+	if spanN.dur > 0 {
+		scaling = float64(span1.dur) / float64(spanN.dur)
+		speedup = float64(ref.dur) / float64(spanN.dur)
+	}
+	scaleBound := spanGateScaleFrac * math.Min(float64(cores), float64(g.spans))
+	v.check(cores < 2 || scaling >= scaleBound, "scaling %.2fx below the %.2fx bound (0.7 x min(cores, %s))",
+		scaling, scaleBound, g.spanNoun)
+
+	fmt.Fprintf(w, "  %s %dms  %s w1 %dms  w%d %dms  capture %dms  restore %dms\n",
+		g.ref, ref.dur.Milliseconds(), g.id, span1.dur.Milliseconds(), cores, spanN.dur.Milliseconds(),
+		capt.dur.Milliseconds(), rest.dur.Milliseconds())
+	fmt.Fprintf(w, "  %s IPC %.4f  %s IPC %.4f — %s error %.3f%% (bound: <%.0f%%)\n",
+		g.ref, ref.res.IPC, g.id, spanN.res.IPC, g.errName, ipcErr*100, spanGateMaxIPCErr*100)
+	k := g.keys
+	bench := map[string]any{
+		g.spanNoun:             g.spans,
+		"warmup_insts":         g.refJob.Warmup,
+		"measure_insts":        g.refJob.Measure,
+		k.refMS:                ref.dur.Milliseconds(),
+		k.w1MS:                 span1.dur.Milliseconds(),
+		k.wNMS:                 spanN.dur.Milliseconds(),
+		"capture_ms":           capt.dur.Milliseconds(),
+		"restore_ms":           rest.dur.Milliseconds(),
+		k.speedup:              speedup,
+		"scaling_w1_over_wN":   scaling,
+		k.ipcErrPct:            ipcErr * 100,
+		"checkpoints_captured": captured,
+		"checkpoints_restored": restoredHits,
+	}
+	if cores >= 2 {
+		bench["scaling_bound"] = scaleBound
+		fmt.Fprintf(w, "  speedup vs %s %.1fx; scaling w1/w%d %.2fx (bound: >=%.2fx)\n",
+			g.ref, speedup, cores, scaling, scaleBound)
+	} else {
+		bench["note"] = fmt.Sprintf("single-core host (GOMAXPROCS=%d): %s time-slice one CPU, scaling not gated",
+			cores, g.spanNoun)
+		fmt.Fprintf(w, "  speedup vs %s %.1fx; single-core host, scaling not gated\n", g.ref, speedup)
+	}
+
+	if g.adaptiveCI > 0 {
+		sp := span1.res.Sampled
+		v.check(sp != nil && sp.Windows == g.spans, "window plan produced %v windows, want %d", sp, g.spans)
+		// Adaptive composition: same geometry plus a stop rule, pinned
+		// to one stop window and one digest across worker counts.
+		adaptJob := g.spanJob
+		adaptJob.Config.Sampling.TargetCI = g.adaptiveCI
+		adapt1 := pass("adaptive workers=1", runq.Options{Workers: 1}, adaptJob)
+		adaptN := pass("adaptive "+wN, runq.Options{Workers: cores}, adaptJob)
+		if err != nil {
+			return nil, nil, err
+		}
+		adaptWindows := 0
+		if adapt1.res.Sampled != nil {
+			adaptWindows = adapt1.res.Sampled.Windows
+		}
+		sN := adaptN.res.Sampled
+		v.check(sN != nil && sN.Windows == adaptWindows,
+			"adaptive stop window diverges: workers=1 measured %d, %s measured %v", adaptWindows, wN, sN)
+		v.check(adaptN.res.DeterminismDigest() == adapt1.res.DeterminismDigest(),
+			"adaptive digest diverges between worker counts")
+		fmt.Fprintf(w, "  adaptive w%d %dms: stopped at %d/%d windows at both worker counts\n",
+			cores, adaptN.dur.Milliseconds(), adaptWindows, g.spans)
+		bench["adaptive_target_ci"] = g.adaptiveCI
+		bench["adaptive_stop_windows"] = adaptWindows
+	}
+	fmt.Fprintf(w, "  checkpoints: %d captured, %d restored; all digests byte-identical: %v\n",
+		captured, restoredHits, digestsIdentical)
+	return bench, v, nil
+}

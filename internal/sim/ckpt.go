@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"ucp/internal/backend"
 	"ucp/internal/ckpt"
@@ -147,7 +148,14 @@ func (m *Machine) restoreWarm(blob []byte) (skipped, ffTotal uint64, err error) 
 	if err := r.Err(); err != nil {
 		return 0, 0, err
 	}
+	// The blob is outside input: a sum that wraps, or a position past
+	// MaxInt (which int() turns negative, and a negative skip returns
+	// itself unchanged), would pass the replay check below without
+	// advancing the stream.
 	pos := skipped + committed
+	if pos < skipped || pos > math.MaxInt {
+		return 0, 0, fmt.Errorf("sim: checkpoint position %d+%d out of range", skipped, committed)
+	}
 	if got := uint64(trace.SkipN(m.src, int(pos))); got != pos {
 		return 0, 0, fmt.Errorf("sim: trace ended replaying checkpoint position (%d of %d)", got, pos)
 	}

@@ -1,6 +1,9 @@
 package sim_test
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"ucp/internal/backend"
@@ -181,4 +184,100 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	if _, err := sim.RunCkpt(cfgB, src, code, "srv203", wcA); err == nil {
 		t.Fatal("restore from a foreign-geometry checkpoint succeeded; want geometry error")
 	}
+}
+
+// capturedPayload runs cfg once with a checkpoint store and returns the
+// program and the payload of the captured warm blob: the bytes between
+// the envelope header (magic + version) and the trailing digest.
+func capturedPayload(t testing.TB, cfg sim.Config) (*trace.Program, []byte) {
+	t.Helper()
+	prof, _ := trace.ProfileByName("srv203")
+	prog, err := trace.BuildProgram(prof)
+	if err != nil {
+		t.Fatalf("building program: %v", err)
+	}
+	store := ckpt.NewStore("")
+	wc := &sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}
+	src := trace.NewLimit(trace.NewWalker(prog), int(cfg.WarmupInsts+cfg.MeasureInsts)+200_000)
+	if _, err := sim.RunCkpt(cfg, src, prog, "srv203", wc); err != nil {
+		t.Fatalf("capturing run failed: %v", err)
+	}
+	blob, hit, _ := store.Acquire(sim.WarmKey(cfg, wc.TraceID))
+	if !hit {
+		t.Fatal("capturing run published nothing")
+	}
+	return prog, blob[len("UCPC")+4 : len(blob)-sha256.Size]
+}
+
+// reseal wraps payload in a fresh envelope exactly as ckpt.Writer.Seal
+// does, so a mutated payload passes the digest check and reaches the
+// decoder.
+func reseal(payload []byte) []byte {
+	w := ckpt.NewWriter()
+	for _, b := range payload {
+		w.Byte(b)
+	}
+	return w.Seal()
+}
+
+// splice returns a copy of payload with the del bytes at off replaced
+// by patch.
+func splice(payload []byte, off, del int, patch []byte) []byte {
+	return append(append(payload[:off:off], patch...), payload[off+del:]...)
+}
+
+// skippedField locates the machine section's leading skipped count:
+// its offset and encoded length.
+func skippedField(payload []byte) (off, n int) {
+	off = 1 + len("machine") // uvarint name length + name
+	_, n = binary.Uvarint(payload[off:])
+	return off, n
+}
+
+// withSkipped rewrites the machine section's skipped count.
+func withSkipped(payload []byte, skipped uint64) []byte {
+	off, n := skippedField(payload)
+	return splice(payload, off, n, binary.AppendUvarint(nil, skipped))
+}
+
+// TestCkptRestoreRejectsWrappedPosition pins that a re-sealed blob whose
+// replay position overflows — past MaxInt, or wrapping the uint64 sum —
+// fails the restore instead of passing the replay check without
+// advancing the stream. A bare Walker never runs out, so only the
+// range check can catch it.
+func TestCkptRestoreRejectsWrappedPosition(t *testing.T) {
+	cfg := ckptConfig(false)
+	prog, payload := capturedPayload(t, cfg)
+	for name, skipped := range map[string]uint64{
+		"past MaxInt": 1 << 63,
+		"sum wraps":   math.MaxUint64,
+	} {
+		m := sim.NewMachine(cfg, trace.NewWalker(prog), prog)
+		if _, _, err := m.RestoreWarm(reseal(withSkipped(payload, skipped))); err == nil {
+			t.Errorf("%s: restore of skipped=%d succeeded; want a position error", name, skipped)
+		}
+	}
+}
+
+// FuzzRestoreWarm splices a fuzzed patch into the payload of a real
+// captured UCP blob (replacing del bytes at off), re-seals it, and
+// restores it over a budget-limited stream (the source every run
+// uses). Every input must end in a return value — nil or an error —
+// never a panic or an unbounded skip. Splicing keeps the fuzzed input a
+// few bytes long, so the fuzzer mutates and minimizes the patch rather
+// than the 1.5 MB payload.
+func FuzzRestoreWarm(f *testing.F) {
+	cfg := ckptConfig(true)
+	prog, payload := capturedPayload(f, cfg)
+	off, n := skippedField(payload)
+	f.Add(uint32(0), uint32(0), []byte(nil))
+	f.Add(uint32(off), uint32(n), binary.AppendUvarint(nil, 1<<63))
+	f.Add(uint32(off), uint32(n), binary.AppendUvarint(nil, math.MaxUint64))
+	budget := int(cfg.WarmupInsts+cfg.MeasureInsts) + 200_000
+	f.Fuzz(func(t *testing.T, off, del uint32, patch []byte) {
+		o := int(off % uint32(len(payload)+1))
+		d := min(int(del), len(payload)-o)
+		m := sim.NewMachine(cfg, trace.NewLimit(trace.NewWalker(prog), budget), prog)
+		m.RestoreWarm(reseal(splice(payload, o, d, patch)))
+	})
 }
