@@ -3,15 +3,16 @@
 #
 # Usage: ./check.sh [-fast] [-only <gate>]
 #
-#   -fast         skip the fuzz smoke, sweep-reuse, autopilot, and
-#                 sweepd gates (the slowest four); everything else runs.
+#   -fast         skip the fuzz smoke, sweep-reuse, autopilot, sweepd,
+#                 and perfbench gates (the slowest five); everything
+#                 else runs.
 #                 Use for inner-loop iteration; CI and pre-merge runs
 #                 use the full gate.
 #   -only <gate>  run a single gate by id (tool binaries are still
 #                 built so every gate stays self-contained). Gate ids:
 #                 fmt vet build lint lint-determinism test fuzz runq
 #                 hotpath hotpath-bench sampling tpar wpar sweepreuse
-#                 autopilot sweepd schema
+#                 autopilot sweepd perfbench schema
 #
 # Each gate's wall-clock time is printed when the next gate starts, and
 # a per-gate timing summary table is printed at the end.
@@ -97,7 +98,12 @@
 #                           BENCH_sweepd.json; then the real sweepd
 #                           binary serves ucpsim -server and the remote
 #                           digest file must cmp-equal the local one)
-#  14. BENCH schema        (every BENCH_*.json carries the shared
+#  14. perfbench pins      (the repository benchmark's own tests, then
+#                           every workload of python3 _perfbench/run.py
+#                           for 3 seconds: each run must report
+#                           "correct":true with "failed":0 — every job
+#                           matches its _perfbench/pins.json pin)
+#  15. BENCH schema        (every BENCH_*.json carries the shared
 #                           schema_version/bench/cores envelope)
 #
 # Steps 10-13 run `experiments -gate <id>` with the gate ids above; each
@@ -108,7 +114,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-KNOWN_GATES="fmt vet build lint lint-determinism test fuzz runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd schema"
+KNOWN_GATES="fmt vet build lint lint-determinism test fuzz runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd perfbench schema"
 
 FAST=0
 ONLY=""
@@ -454,6 +460,29 @@ if [ "$FAST" -eq 0 ]; then
 	cmp "$RUNQ_TMP/digest_local.txt" "$RUNQ_TMP/digest_remote.txt" || {
 		echo "sweepd: remote digests differ from local (wire round-trip is lossy)" >&2; exit 1; }
 	echo "sweepd: end-to-end remote digests byte-identical to local"
+else
+	echo "skipped (-fast)"
+fi
+fi
+
+if want perfbench; then
+step "perfbench pins"
+if [ "$FAST" -eq 0 ]; then
+	# The repository benchmark (BENCHMARK.json) checks every simulated
+	# outcome of every job against _perfbench/pins.json. Its own tests
+	# run first, then each workload for a short budget; a run passes only
+	# when its result line reports every job correct and none failed.
+	# The benchmark builds into .bench_build/ and writes nothing under
+	# _perfbench/.
+	(cd _perfbench && go test ./...)
+	for w in full-compare sampled sweep window-parallel; do
+		python3 _perfbench/run.py --workload "$w" --seconds 3 > "$RUNQ_TMP/perfbench_$w.out"
+		RESULT=$(tail -n 1 "$RUNQ_TMP/perfbench_$w.out")
+		case "$RESULT" in
+		*'"correct":true,'*'"failed":0,'*) echo "perfbench $w: $RESULT" ;;
+		*) echo "perfbench: $w is not correct with 0 failed jobs: $RESULT" >&2; exit 1 ;;
+		esac
+	done
 else
 	echo "skipped (-fast)"
 fi

@@ -13,7 +13,11 @@ import (
 
 func sealed(t *testing.T) []byte {
 	t.Helper()
-	w := NewWriter()
+	return sealedWith(NewWriter())
+}
+
+// sealedWith writes the fixed test payload through w.
+func sealedWith(w *Writer) []byte {
 	w.Section("hdr")
 	w.Uvarint(42)
 	w.Varint(-7)
@@ -25,6 +29,29 @@ func sealed(t *testing.T) []byte {
 	w.I8s([]int8{-1, 0, 1})
 	w.Section("tail")
 	return w.Seal()
+}
+
+// TestWriterSizeHintNeutral: a capacity hint changes no byte of the
+// blob, whether it is short, exact or generous, and a hint that fits
+// the blob leaves Seal nothing to reallocate.
+func TestWriterSizeHintNeutral(t *testing.T) {
+	big := make([]uint8, 200_000)
+	for i := range big {
+		big[i] = uint8(i * 7)
+	}
+	write := func(w *Writer) []byte {
+		w.U8s(big)
+		return sealedWith(w)
+	}
+	want := write(NewWriter())
+	for _, size := range []int{-1, 0, 8, len(want) - 1, len(want), 4 * len(want)} {
+		if got := write(NewWriterSize(size)); !bytes.Equal(got, want) {
+			t.Errorf("NewWriterSize(%d) blob differs from NewWriter's", size)
+		}
+	}
+	if got := write(NewWriterSize(len(want))); cap(got) != len(want) {
+		t.Errorf("exact hint: sealed cap %d, want %d (no growth)", cap(got), len(want))
+	}
 }
 
 func TestCodecRoundTrip(t *testing.T) {

@@ -36,8 +36,17 @@ type Writer struct {
 }
 
 // NewWriter returns a Writer with the envelope header pre-allocated.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
+func NewWriter() *Writer { return NewWriterSize(0) }
+
+// NewWriterSize is NewWriter with room for a blob of size bytes (the
+// sealed length, digest included; sizes below 64 KiB get 64 KiB): a
+// payload that fits never reallocates, and Seal appends the digest in
+// place. A machine-state capture runs to megabytes, so growing from
+// 64 KiB allocates several times the blob in discarded buffers; a
+// caller that captures the same machine repeatedly passes the previous
+// blob's length. The hint changes no byte of the blob.
+func NewWriterSize(size int) *Writer {
+	w := &Writer{buf: make([]byte, 0, max(size, 1<<16))}
 	w.buf = append(w.buf, envMagic...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, envVersion)
 	return w

@@ -22,6 +22,7 @@ import (
 	"io"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ucp/internal/ckpt"
@@ -206,8 +207,20 @@ type progEntry struct {
 
 type arenaEntry struct {
 	once  sync.Once
+	ready chan struct{} // closed once arena and err are set
 	arena *trace.Arena
 	err   error
+	// streamed is set once a reader has taken the generator instead of
+	// waiting for the build (overlapSource).
+	streamed atomic.Bool
+}
+
+// build runs f at most once per entry; every caller returns after it.
+func (e *arenaEntry) build(f func() (*trace.Arena, error)) {
+	e.once.Do(func() {
+		e.arena, e.err = f()
+		close(e.ready)
+	})
 }
 
 // New builds a pool.
@@ -293,16 +306,22 @@ func (p *Pool) Program(prof trace.Profile) (*trace.Program, error) {
 	return e.prog, e.err
 }
 
-// arena returns the once-guarded entry for an arena cache key.
-func (p *Pool) arena(key string, build func() (*trace.Arena, error)) (*trace.Arena, error) {
+// arenaEntry returns the once-guarded entry for an arena cache key.
+func (p *Pool) arenaEntry(key string) *arenaEntry {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	e := p.arenas[key]
 	if e == nil {
-		e = &arenaEntry{}
+		e = &arenaEntry{ready: make(chan struct{})}
 		p.arenas[key] = e
 	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.arena, e.err = build() })
+	return e
+}
+
+// arena returns the arena for a cache key, building it on first use.
+func (p *Pool) arena(key string, build func() (*trace.Arena, error)) (*trace.Arena, error) {
+	e := p.arenaEntry(key)
+	e.build(build)
 	return e.arena, e.err
 }
 
@@ -317,19 +336,31 @@ func (p *Pool) FileArena(path string) (*trace.Arena, error) {
 }
 
 // profileArena materializes a synthetic workload's stream into a shared
-// arena, once per (profile parameterization, budget).
-func (p *Pool) profileArena(prof trace.Profile, budget int) (*trace.Arena, error) {
+// arena, once per (profile parameterization, budget). With async the
+// build runs on its own goroutine, which ends with the build, and the
+// entry is returned at once; readers wait on its ready channel, and
+// the pool keeps the arena for later jobs even if this one ends first.
+func (p *Pool) profileArena(prof trace.Profile, budget int, async bool) (*arenaEntry, error) {
 	pk, err := profileKey(prof)
 	if err != nil {
 		return nil, err
 	}
-	return p.arena(fmt.Sprintf("prof\x00%s\x00%d", pk, budget), func() (*trace.Arena, error) {
-		prog, err := p.Program(prof)
-		if err != nil {
-			return nil, err
-		}
-		return trace.ArenaFromSource(trace.NewLimit(trace.NewWalker(prog), budget), budget), nil
-	})
+	e := p.arenaEntry(fmt.Sprintf("prof\x00%s\x00%d", pk, budget))
+	build := func() {
+		e.build(func() (*trace.Arena, error) {
+			prog, err := p.Program(prof)
+			if err != nil {
+				return nil, err
+			}
+			return trace.ArenaFromSource(trace.NewLimit(trace.NewWalker(prog), budget), budget), nil
+		})
+	}
+	if async {
+		go build()
+		return e, nil
+	}
+	build()
+	return e, e.err
 }
 
 // jobKey resolves a job's cache key, reading the trace file's content
@@ -557,19 +588,28 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 		// budget: the stream prefix a checkpoint replays is independent
 		// of where the run's limit lies.
 		traceID = "profile:" + pk
-		if p.opts.UseArena || parallel {
+		walk := func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
+		switch {
+		case parallel && p.workers() > 1:
 			// Time-parallel jobs (segment- or window-sharded) always run
 			// over the shared arena, whatever Options.UseArena says:
 			// segment boundaries lean on the cursor's O(1) seek, and
 			// per-segment generator walks would turn every boundary
-			// placement into an O(position) replay.
-			a, err := p.profileArena(job.Profile, budget)
+			// placement into an O(position) replay. With a worker to
+			// spare, the build overlaps the run (overlapSource).
+			e, err := p.profileArena(job.Profile, budget, true)
 			if err != nil {
 				return sim.Result{}, err
 			}
-			newSource = func() trace.Source { return a.Cursor() }
-		} else {
-			newSource = func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
+			newSource = func() trace.Source { return &overlapSource{e: e, walk: walk} }
+		case parallel || p.opts.UseArena:
+			e, err := p.profileArena(job.Profile, budget, false)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			newSource = func() trace.Source { return e.arena.Cursor() }
+		default:
+			newSource = walk
 		}
 	}
 	if parallel {

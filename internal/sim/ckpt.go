@@ -108,9 +108,10 @@ func WarmKey(cfg Config, traceID string) string {
 // functionally committed), the backend's commit counters, and every
 // structure the warm path mutates. State not saved here is exactly the
 // state the fast-forward never touches, which a freshly constructed
-// machine already holds.
-func (m *Machine) captureWarm(skipped, ffTotal uint64) []byte {
-	w := ckpt.NewWriter()
+// machine already holds. size is the expected blob length (0: unknown;
+// see ckpt.NewWriterSize) and changes no byte of the blob.
+func (m *Machine) captureWarm(skipped, ffTotal uint64, size int) []byte {
+	w := ckpt.NewWriterSize(size)
 	w.Section("machine")
 	w.Uvarint(skipped)
 	w.Uvarint(ffTotal)

@@ -519,7 +519,7 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 			if err := ffwd(cfg.WarmupInsts); err != nil {
 				return Result{}, err
 			}
-			release(m.captureWarm(skipped, ffTotal))
+			release(m.captureWarm(skipped, ffTotal, 0))
 		}
 	} else if err := ffwd(cfg.WarmupInsts); err != nil {
 		return Result{}, err

@@ -24,7 +24,11 @@ import (
 // commit → detailed warm). Because every span's outcome is a pure
 // function of (config, trace, span, warming geometry), spans can run
 // concurrently on any number of workers and reduce into one
-// byte-identical result.
+// byte-identical result. A span reaches its boundary state cold
+// (RunSegment), or from a Boundary: a stored checkpoint
+// (AcquireBoundary), or the end of its skip zone handed over by a
+// BoundarySweep, which warms the skip zones of a whole sweepable plan
+// in one pass instead of once per span (RunSegmentAt).
 
 // BoundaryWarm is the warming geometry applied at each segment
 // boundary. All counts are instructions; the pyramid-nesting rules
@@ -165,6 +169,99 @@ func BoundaryKey(cfg Config, traceID string, start uint64, warm BoundaryWarm) st
 	return hex.EncodeToString(sum[:])
 }
 
+// checkSpan is the argument contract shared by the span runners.
+func checkSpan(cfg Config, spec SegmentSpec, warm BoundaryWarm) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Sampling.Enabled {
+		return fmt.Errorf("sim: RunSegment is the full-detail span runner; sampled configs parallelize per measured window through internal/wpar, which strips Sampling and derives the boundary warm from the sampling geometry")
+	}
+	if err := warm.Validate(); err != nil {
+		return err
+	}
+	if spec.End <= spec.Start {
+		return fmt.Errorf("sim: segment %d has empty span [%d, %d)", spec.Index, spec.Start, spec.End)
+	}
+	return nil
+}
+
+// warmStart is where a span's detailed warm begins: DetailedInsts
+// before its start, clamped at position zero.
+func (b BoundaryWarm) warmStart(start uint64) uint64 {
+	if start > b.DetailedInsts {
+		return start - b.DetailedInsts
+	}
+	return 0
+}
+
+// Sweepable reports whether boundaries under b can share one boundary
+// sweep (BoundarySweep): with unbounded cache and predictor horizons
+// and a bounded functional tier, a span's skip zone is all of
+// [0, warmStart−FFInsts), skip-warmed by the full machine warmer, so
+// each boundary's zone is a prefix of every later one's. Bounded
+// horizons are not sweepable — their zones start at different
+// positions and drop state in between — and need none: their boundary
+// cost is O(horizon), not O(position).
+func (b BoundaryWarm) Sweepable() bool {
+	return b.FFInsts > 0 && b.CacheInsts == 0 && b.BPInsts == 0
+}
+
+// skipZoneEnd is the end of a sweepable span's skip zone (0: the whole
+// gap before the detailed warm is functional, so there is none).
+func (b BoundaryWarm) skipZoneEnd(start uint64) uint64 {
+	if ws := b.warmStart(start); ws > b.FFInsts {
+		return ws - b.FFInsts
+	}
+	return 0
+}
+
+// Boundary is how one span's machine reaches its boundary state: a
+// cold fast-forward from position zero (the zero value), a restored
+// checkpoint of the functional-warm state (a store hit), or the end of
+// its skip zone handed over by a BoundarySweep — as a checkpoint, or as
+// the sweep machine itself at the sweep's last boundary — from which
+// the span runs the functional tier on its own. A Boundary that carries
+// a store lease must reach RunSegmentAt or Discard, once.
+type Boundary struct {
+	blob    []byte   // checkpoint to restore
+	warmed  bool     // blob holds the functional-warm (post fast-forward) state
+	m       *Machine // the sweep machine, at the end of this span's skip zone
+	skipped uint64   // m's position accounting
+	key     string   // store key, for restore errors
+	release func([]byte)
+}
+
+// Discard gives up a boundary whose span will not run: a store lease
+// it carries is aborted, so a waiter on the same key takes over.
+func (b Boundary) Discard() {
+	if b.release != nil {
+		b.release(nil)
+	}
+}
+
+// Swept reports whether b carries state a BoundarySweep produced for
+// it — a checkpoint of its skip zone's end, or the sweep machine — as
+// opposed to a stored checkpoint or nothing.
+func (b Boundary) Swept() bool { return b.m != nil || (b.blob != nil && !b.warmed) }
+
+// AcquireBoundary looks spec's boundary up in the attached store (nil:
+// none): a hit returns the checkpoint, a miss the lease the span
+// publishes its own capture under. Boundaries at position zero are
+// never stored. Like ckpt.Store.Acquire, it blocks while another span
+// captures the same boundary.
+func AcquireBoundary(cfg Config, wc *WarmCheckpoints, spec SegmentSpec, warm BoundaryWarm) Boundary {
+	if wc == nil || wc.Store == nil || warm.warmStart(spec.Start) == 0 {
+		return Boundary{}
+	}
+	key := BoundaryKey(cfg, wc.TraceID, spec.Start, warm)
+	blob, hit, release := wc.Store.Acquire(key)
+	if hit {
+		return Boundary{blob: blob, warmed: true, key: key}
+	}
+	return Boundary{key: key, release: release}
+}
+
 // RunSegment simulates one segment of a full-detail run: rebuild the
 // boundary state at spec.Start (restoring a cached checkpoint when the
 // store has one, capturing one for the next run otherwise), then
@@ -174,50 +271,59 @@ func BoundaryKey(cfg Config, traceID string, start uint64, warm BoundaryWarm) st
 // (cfg, trace, spec, warm) regardless of worker placement, and a
 // checkpoint-restored boundary is byte-identical to a cold one.
 func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, wc *WarmCheckpoints) (SegmentResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := checkSpan(cfg, spec, warm); err != nil {
 		return SegmentResult{}, err
 	}
-	if cfg.Sampling.Enabled {
-		return SegmentResult{}, fmt.Errorf("sim: RunSegment is the full-detail span runner; sampled configs parallelize per measured window through internal/wpar, which strips Sampling and derives the boundary warm from the sampling geometry")
-	}
-	if err := warm.Validate(); err != nil {
+	return runSpan(cfg, func() trace.Source { return src }, code, spec, warm, AcquireBoundary(cfg, wc, spec, warm))
+}
+
+// RunSegmentAt is RunSegment from a boundary the caller obtained from
+// AcquireBoundary and, for a sweepable plan, BoundarySweep.Advance.
+// newSource is called at most once, for a fresh stream at position
+// zero; a boundary that hands over the sweep machine needs none. The
+// result is byte-identical to RunSegment's.
+func RunSegmentAt(cfg Config, newSource func() trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, b Boundary) (SegmentResult, error) {
+	if err := checkSpan(cfg, spec, warm); err != nil {
+		b.Discard()
 		return SegmentResult{}, err
 	}
-	if spec.End <= spec.Start {
-		return SegmentResult{}, fmt.Errorf("sim: segment %d has empty span [%d, %d)", spec.Index, spec.Start, spec.End)
-	}
+	return runSpan(cfg, newSource, code, spec, warm, b)
+}
+
+// runSpan reaches spec's boundary state the way at says, publishing the
+// functional-warm state when at carries a store lease, then measures the
+// span.
+func runSpan(cfg Config, newSource func() trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, at Boundary) (SegmentResult, error) {
+	// Once-guarded, so the abort is a no-op after a successful publish
+	// and hands the flight to a waiter on any error path.
+	defer at.Discard()
 
 	// The detailed engine reads src only after the fast-forward is
 	// done, so the frontend's batched read-ahead cannot outrun a stream
 	// position nobody advances anymore — no scalar wrapper needed
 	// (unlike the sampled mode, which alternates back into functional
 	// phases after detailed windows).
-	m := NewMachine(cfg, src, code)
-
-	warmStart := uint64(0)
-	if spec.Start > warm.DetailedInsts {
-		warmStart = spec.Start - warm.DetailedInsts
+	m, skipped := at.m, at.skipped
+	if m == nil {
+		m = NewMachine(cfg, newSource(), code)
 	}
-	var skipped, ffTotal uint64
-	if wc != nil && wc.Store != nil && warmStart > 0 {
-		key := BoundaryKey(cfg, wc.TraceID, spec.Start, warm)
-		blob, hit, release := wc.Store.Acquire(key)
-		if hit {
-			var err error
-			if skipped, ffTotal, err = m.restoreWarm(blob); err != nil {
-				return SegmentResult{}, ckpt.KeyError(key, err)
+	var ffTotal uint64
+	if at.blob != nil {
+		var err error
+		if skipped, ffTotal, err = m.restoreWarm(at.blob); err != nil {
+			if at.key != "" {
+				err = ckpt.KeyError(at.key, err)
 			}
-		} else {
-			// Leader: pay the fast-forward and publish. Once-guarded, so
-			// the deferred abort is a no-op after a successful publish.
-			defer release(nil)
-			if err := m.fastForward(warmStart, warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
-				return SegmentResult{}, err
-			}
-			release(m.captureWarm(skipped, ffTotal))
+			return SegmentResult{}, err
 		}
-	} else if err := m.fastForward(warmStart, warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
-		return SegmentResult{}, err
+	}
+	if !at.warmed {
+		if err := m.fastForward(warm.warmStart(spec.Start), warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
+			return SegmentResult{}, err
+		}
+		if at.release != nil {
+			at.release(m.captureWarm(skipped, ffTotal, len(at.blob)))
+		}
 	}
 
 	// Detailed warm to the segment start, then the measured span.
@@ -254,4 +360,114 @@ func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSp
 		r.UCPStorageKB = m.ucp.StorageKB()
 	}
 	return r, nil
+}
+
+// BoundarySweep builds the boundary states of a sweepable plan
+// (BoundaryWarm.Sweepable) in one pass. A cold span skip-warms its zone
+// [0, p) from position zero, so a plan of W spans warms Σ p — O(W²)
+// for evenly spaced sampled windows. The sweep instead carries one
+// machine forward through the zones in span order, 0 → p₀ → p₁ → …, and
+// hands each span its zone-end state as a checkpoint; the span restores
+// it into its own machine and runs the rest of the pyramid (functional
+// tier, detailed warm, measured span) exactly as a cold span does. The
+// swept state is bit-equal to the cold state, so results and
+// checkpoint keys are unchanged: only the total skip-warm work drops to
+// max p.
+//
+// With a store attached, a span whose boundary key hits
+// (AcquireBoundary) gets the stored checkpoint and costs the sweep
+// nothing; the sweep machine is built on the first miss, so a fully
+// cached plan does no sweep work at all. Zone-end checkpoints never
+// enter the store: a missing span publishes its functional-warm state
+// under its BoundaryKey as RunSegment does.
+//
+// A BoundarySweep is not safe for concurrent use; its Boundaries are
+// independent and may be run on any goroutine.
+type BoundarySweep struct {
+	cfg       Config
+	newSource func() trace.Source
+	code      core.CodeInfo
+	warm      BoundaryWarm
+
+	m       *Machine // built on the first boundary that needs it
+	w       sweepWarmer
+	skipped uint64 // m's stream position (the sweep never commits)
+	size    int    // last checkpoint's length: the next capture's size hint
+}
+
+// NewBoundarySweep starts a sweep over the plan of cfg (a full-detail
+// config, as RunSegment takes) under warm, which must be Sweepable.
+// newSource is called once, on the first boundary that needs sweeping.
+func NewBoundarySweep(cfg Config, newSource func() trace.Source, code core.CodeInfo, warm BoundaryWarm) (*BoundarySweep, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := warm.Validate(); err != nil {
+		return nil, err
+	}
+	if !warm.Sweepable() {
+		return nil, fmt.Errorf("sim: boundary warm %+v is not sweepable (bounded skip-zone horizons, or no functional tier)", warm)
+	}
+	return &BoundarySweep{cfg: cfg, newSource: newSource, code: code, warm: warm}, nil
+}
+
+// Advance completes b, spec's boundary from AcquireBoundary: unless b
+// already holds the functional-warm state, the sweep skip-warms on to
+// the end of spec's skip zone and b gets a checkpoint of that state.
+// Specs must come in span order (starts nondecreasing). last marks the
+// plan's last span: it gets the sweep machine itself instead of a
+// checkpoint of it, so a plan opens one stream per span, and the sweep
+// is spent. On error b's store lease is given up.
+func (s *BoundarySweep) Advance(spec SegmentSpec, b Boundary, last bool) (Boundary, error) {
+	p := s.warm.skipZoneEnd(spec.Start)
+	if b.warmed || p == 0 {
+		// A hit, or a boundary whose cold fast-forward is functional
+		// warming alone: O(FFInsts) either way, nothing to sweep.
+		return b, nil
+	}
+	if s.m == nil {
+		s.m = NewMachine(s.cfg, s.newSource(), s.code)
+		s.w = sweepWarmer{machineWarmer: machineWarmer{s.m}}
+	}
+	if p < s.skipped {
+		b.Discard()
+		return Boundary{}, fmt.Errorf("sim: boundary sweep is at %d, past span %d's skip zone [0, %d)", s.skipped, spec.Index, p)
+	}
+	n := uint64(trace.SkipWarmN(s.m.src, int(p-s.skipped), &s.w))
+	s.skipped += n
+	s.m.cycle += n
+	if s.skipped != p {
+		b.Discard()
+		return Boundary{}, fmt.Errorf("sim: trace ended during fast-forward at instruction %d", s.skipped)
+	}
+	if last {
+		b.m, b.skipped = s.m, s.skipped
+		s.m, s.w = nil, sweepWarmer{}
+		return b, nil
+	}
+	b.blob = s.m.captureWarm(s.skipped, 0, s.size)
+	s.size = len(b.blob)
+	return b, nil
+}
+
+// sweepWarmer is the skip zone's machineWarmer for a zone crossed in
+// several SkipWarmN calls. SkipWarmN reports a fetch line only when it
+// differs from the previous instruction's, but it forgets that line
+// between calls, so each chunk would re-report the line the last one
+// ended on — one extra L1I hit per boundary, which changes the swept
+// state's bytes. sweepWarmer carries the line across calls, so the
+// chunked sweep warms exactly what one cold SkipWarmN over the whole
+// zone does.
+type sweepWarmer struct {
+	machineWarmer
+	line  uint64
+	valid bool
+}
+
+func (w *sweepWarmer) WarmFetch(lineAddr uint64) {
+	if w.valid && lineAddr == w.line {
+		return
+	}
+	w.line, w.valid = lineAddr, true
+	w.machineWarmer.WarmFetch(lineAddr)
 }

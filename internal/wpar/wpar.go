@@ -1,6 +1,6 @@
 // Package wpar is the parallel executor for one simulation run: the run
 // is split into spans of its measured region, every span is simulated
-// independently (sim.RunSegment) on a fresh machine whose boundary
+// independently (sim.RunSegmentAt) on a fresh machine whose boundary
 // state is rebuilt by the warming pyramid — or restored from a
 // content-addressed internal/ckpt checkpoint when a store is attached —
 // the spans run concurrently on a bounded worker pool over per-span
@@ -21,16 +21,48 @@
 //     specifies (sim.SamplingConfig.BoundaryWarm). The reduction adds
 //     the SampledStats block the serial sampled controller reports.
 //
+// Boundary cost. A cold span skip-warms its whole skip zone from
+// position zero: with unbounded cache and predictor horizons (the
+// conservative sampling posture, and sim.DefaultBoundaryWarm) that zone
+// is [0, p) for a span whose functional tier starts at p, so W evenly
+// spaced spans warm Σ p — O(W²) for a run whose serial chain crosses
+// the stream once. Plans under such a geometry
+// (sim.BoundaryWarm.Sweepable) therefore share one boundary sweep
+// (sim.BoundarySweep): a single machine skip-warms forward through the
+// nested zones in span order and hands each span its zone-end state as
+// a checkpoint, and the span runs the rest of its pyramid — functional
+// tier, detailed warm, measured span — on its own machine. The swept
+// state is bit-equal to the cold one, so results are unchanged and
+// skip-warming drops to max p. The sweep is the run's one sequential
+// part: it occupies one worker (and one Gate slot) while the other
+// workers run spans, stays at most Workers checkpoints ahead of them,
+// and caps the spans beside it at Workers−1 so no more machines are
+// live than workers. With one worker, sweep steps and spans alternate.
+// With a store attached, spans whose boundary checkpoint hits cost the
+// sweep nothing, and the sweep machine is only built on the first miss.
+// Bounded horizons (any nonzero CacheInsts/BPInsts) keep per-span cold
+// warming: their boundary costs O(horizon), not O(position), so there
+// is nothing to share.
+//
+// Full-detail segments take the sweep too. They number about as many
+// as cores, so their cold warms already ran in parallel, but the sweep
+// still removes Σ p − max p of work: over four alternating runs of the
+// time-parallel gate on a 2-core host, per-span warming took w1
+// 0.97–1.17 s and w2 0.56–0.73 s, the sweep 0.73–0.82 s and
+// 0.38–0.56 s, with scaling in the same noisy band (1.44–2.00× against
+// 1.42–2.09×).
+//
 // Adaptive sampling (SamplingConfig.TargetCI) composes by speculation:
 // workers dispatch windows ahead of the pinned group-sequential stop
 // schedule, completed windows feed the shared stop rule
 // (sim.AdaptiveStop — the same type the serial controller runs)
 // strictly in window-index order, and every speculatively simulated
-// window past the stop point is discarded deterministically. A parallel
-// adaptive run therefore stops at exactly the same window as a serial
-// one; the speculative windows cost wall-clock the stop saves anyway,
-// never correctness. A full-detail run has no stop rule: it runs every
-// span.
+// window past the stop point is discarded deterministically — as is
+// every boundary the sweep produced past it, store lease included. A
+// parallel adaptive run therefore stops at exactly the same window as a
+// serial one; the speculative windows cost wall-clock the stop saves
+// anyway, never correctness. A full-detail run has no stop rule: it
+// runs every span.
 //
 // The price is a bounded boundary-warming error: each span's start
 // state comes from the warming pyramid alone, whereas a serial run
@@ -195,43 +227,55 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		opts.Hook(sim.Progress{Stage: sim.StageWarming, WindowsDone: 0, WindowsTotal: n})
 	}
 
-	// runOne simulates one span with its own recover: a panicking span
-	// fails this run, not the process (and not its siblings' worker
-	// goroutines). Each in-flight span holds one Gate slot, so total
-	// detailed-simulation concurrency across every parallel run sharing
-	// the gate stays bounded.
-	runOne := func(spec sim.SegmentSpec) (res sim.SegmentResult, err error) {
-		if opts.Gate != nil {
-			opts.Gate <- struct{}{}
-			defer func() { <-opts.Gate }()
+	// Sweepable plans build their spans' boundary states in one pass
+	// (sim.BoundarySweep; see the package doc).
+	var sweep *sim.BoundarySweep
+	if warm.Sweepable() {
+		var err error
+		if sweep, err = sim.NewBoundarySweep(spanCfg, newSource, code, warm); err != nil {
+			return sim.Result{}, err
 		}
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("panic: %v", r)
-			}
-		}()
-		return sim.RunSegment(spanCfg, newSource(), code, spec, warm, wc)
 	}
 
 	// Coordination state, all under mu. Every span's outcome lands in
 	// its own index slot, so no two workers ever touch the same cell and
-	// the reduction below never sees arrival order. The feeder hands out
-	// span indices in order — for adaptive runs, issuance running ahead
-	// of the stop rule is the speculation — and advance consumes
-	// completed spans strictly in index order through the shared stop
-	// rule. Once it stops, or meets an in-order failure the serial chain
-	// would have hit, issuance ceases and everything past the stop point
-	// is discarded. The stop decision is a pure function of the in-order
+	// the reduction below never sees arrival order. Spans are issued in
+	// index order — for adaptive runs, issuance running ahead of the
+	// stop rule is the speculation — and advance consumes completed
+	// spans strictly in index order through the shared stop rule. Once
+	// it stops, or meets an in-order failure the serial chain would have
+	// hit, issuance ceases and everything past the stop point is
+	// discarded. The stop decision is a pure function of the in-order
 	// window sequence, so it is identical at every worker count.
+	//
+	// With a sweep, a span is issued only once the sweep has produced
+	// its boundary. Worker 0 is the sweeper: it advances the sweep, at
+	// most workers swept boundaries ahead of the spans that finished
+	// (each is a ~1.4 MiB checkpoint; store hits cost nothing and do not
+	// count), runs the last span itself — on the sweep machine, when the
+	// sweep reached it — and only then joins the other workers, so no
+	// more machines (~11 MiB each) are live than workers and every span
+	// opens one stream. With one worker, sweep steps and spans
+	// alternate.
 	var (
 		mu       sync.Mutex
+		wake     = sync.NewCond(&mu)
 		slots    = make([]*sim.SegmentResult, n)
 		errs     = make([]error, n)
 		consumed int
 		stopAt   = -1 // inclusive index of the stop window; -1: none
 		halted   bool
 		as       = sim.NewAdaptiveStop(s, n)
+		issued   int                       // spans handed to workers, in index order
+		produced = n                       // spans whose boundary is ready, in index order
+		limit    = n                       // spans below the first sweep failure
+		spanEnd  = n                       // spans issued to workers (the sweeper runs the rest)
+		held     int                       // swept boundaries whose spans have not finished
+		bounds   = make([]sim.Boundary, n) // produced, not yet issued boundaries
 	)
+	if sweep != nil {
+		produced, spanEnd = 0, n-1
+	}
 	advance := func() {
 		for !halted && consumed < n && (slots[consumed] != nil || errs[consumed] != nil) {
 			k := consumed
@@ -246,49 +290,146 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		}
 	}
 
-	idxCh := make(chan int)
+	// gated runs f holding one Gate slot, recovering a panic into an
+	// error: a panicking span or sweep step fails this run, not the
+	// process (and not its siblings' worker goroutines). Every in-flight
+	// span and sweep step holds a slot, so total simulation concurrency
+	// across every parallel run sharing the gate stays bounded.
+	gated := func(f func() error) (err error) {
+		if opts.Gate != nil {
+			opts.Gate <- struct{}{}
+			defer func() { <-opts.Gate }()
+		}
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return f()
+	}
+	// runSpan simulates span i from boundary b and records it (mu not
+	// held). Without a sweep the span looks its boundary up in the store
+	// itself.
+	runSpan := func(i int, b sim.Boundary) {
+		swept := b.Swept()
+		var res sim.SegmentResult
+		err := gated(func() (err error) {
+			if sweep == nil {
+				b = sim.AcquireBoundary(spanCfg, wc, specs[i], warm)
+			}
+			res, err = sim.RunSegmentAt(spanCfg, newSource, code, specs[i], warm, b)
+			return err
+		})
+
+		mu.Lock()
+		if err != nil {
+			errs[i] = err
+		} else {
+			slots[i] = &res
+		}
+		if swept {
+			held--
+		}
+		var rel float64
+		refining := false
+		if adaptive {
+			advance()
+			if consumed >= as.Min() {
+				rel, refining = as.Rel(), true
+			}
+		}
+		wake.Broadcast()
+		mu.Unlock()
+		note(rel, refining)
+	}
+	// sweepStep advances the sweep to boundary k (mu not held) and, at
+	// the last one, runs its span. The store lookup stays outside the
+	// gate: it may wait on another run's capture of the same boundary,
+	// whose span needs a slot to finish.
+	sweepStep := func(k int) {
+		last := k == n-1
+		b := sim.AcquireBoundary(spanCfg, wc, specs[k], warm)
+		err := gated(func() (err error) {
+			b, err = sweep.Advance(specs[k], b, last)
+			return err
+		})
+		mu.Lock()
+		wake.Broadcast()
+		if err != nil {
+			b.Discard() // a panic skips Advance's own cleanup
+			// The failing step fails its span and every later one: none
+			// of them can reach its boundary.
+			for i := k; i < n; i++ {
+				errs[i] = fmt.Errorf("boundary sweep: %w", err)
+			}
+			limit = k
+			if adaptive {
+				advance()
+			}
+			mu.Unlock()
+			return
+		}
+		produced = k + 1
+		if b.Swept() {
+			held++
+		}
+		if !last {
+			bounds[k] = b
+		} else if halted {
+			held--
+			b.Discard()
+		}
+		run := last && !halted
+		mu.Unlock()
+		if run {
+			runSpan(k, b)
+		}
+	}
+
+	// worker takes tasks until none is left for it: the sweeper the next
+	// sweep step while the sweep is not too far ahead, everyone the next
+	// span whose boundary is ready (the sweeper only once the sweep is
+	// done, unless it is the only worker).
+	worker := func(sweeper bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for !halted {
+			sweeps := sweeper && produced < limit
+			end := min(limit, spanEnd)
+			switch {
+			case sweeps && held < workers:
+				k := produced
+				mu.Unlock()
+				sweepStep(k)
+				mu.Lock()
+			case issued < min(produced, end) && (!sweeps || workers == 1):
+				i := issued
+				issued++
+				b := bounds[i]
+				bounds[i] = sim.Boundary{}
+				mu.Unlock()
+				runSpan(i, b)
+				mu.Lock()
+			case issued >= end && !sweeps:
+				return
+			default:
+				wake.Wait()
+			}
+		}
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idxCh {
-				res, err := runOne(specs[i])
-
-				mu.Lock()
-				if err != nil {
-					errs[i] = err
-				} else {
-					slots[i] = &res
-				}
-				var rel float64
-				refining := false
-				if adaptive {
-					advance()
-					if consumed >= as.Min() {
-						rel, refining = as.Rel(), true
-					}
-				}
-				mu.Unlock()
-				note(rel, refining)
-			}
+			worker(sweep != nil && w == 0)
 		}()
 	}
-	// Feed span indices in issue order. A send already blocked when the
-	// consumer stops still hands one more speculative window to a
-	// worker; it is discarded at reduction like every other window past
-	// the stop point, so the result stays schedule-independent.
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		stopped := halted
-		mu.Unlock()
-		if stopped {
-			break
-		}
-		idxCh <- i
-	}
-	close(idxCh)
 	wg.Wait()
+	// their store leases.
+	for _, b := range bounds {
+		b.Discard()
+	}
 
 	include := n
 	if stopAt >= 0 {

@@ -2,8 +2,11 @@ package wpar_test
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
@@ -363,6 +366,183 @@ func TestSpanErrors(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSweepErrors drives the boundary sweep's failure paths: a sampled
+// plan whose windows sit 20K apart, over a stream that ends — or panics
+// — at 65K, inside the skip zone shared by spans 2 and 3 (which start
+// their functional tier at 71K and 91K) but past everything spans 0 and
+// 1 read. Only the sweep reaches 65K: its step toward span 2's boundary
+// fails, and that failure must name span 2 — the lowest failing index,
+// as it would be with per-span cold warming — at 1 and 4 workers,
+// surfacing a panic as an error.
+func TestSweepErrors(t *testing.T) {
+	const failAt = 65_000
+	cfg := sampledCfg()
+	cfg.MeasureInsts = 80_000
+	cfg.Sampling.PeriodInsts = 20_000
+	full, prog := testArena(t, "crypto01", 100_000)
+	short := trace.ArenaFromSource(trace.NewWalker(prog), failAt)
+	sources := map[string]func() trace.Source{
+		"stream-ends": func() trace.Source { return short.Cursor() },
+		"panics":      func() trace.Source { return &panicSource{src: full.Cursor(), at: failAt} },
+	}
+	for _, c := range []string{"stream-ends", "panics"} {
+		t.Run(c, func(t *testing.T) {
+			var first string
+			for _, workers := range []int{1, 4} {
+				_, err := wpar.Run(cfg, sources[c], prog, "crypto01", wpar.Options{Workers: workers})
+				if err == nil {
+					t.Fatalf("workers=%d: run succeeded past a failing sweep", workers)
+				}
+				if !strings.HasPrefix(err.Error(), "wpar: span 2: boundary sweep: ") {
+					t.Fatalf("workers=%d: error does not name span 2's boundary sweep: %v", workers, err)
+				}
+				if c == "panics" && !strings.Contains(err.Error(), "panic: stream position 65000") {
+					t.Fatalf("workers=%d: panic not reported: %v", workers, err)
+				}
+				if first == "" {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Fatalf("error differs across worker counts:\n%s\n---\n%s", first, err)
+				}
+			}
+		})
+	}
+}
+
+// countingCursor is an arena cursor that counts the instructions its
+// warming skip crosses.
+type countingCursor struct {
+	*trace.Cursor
+	warmed *atomic.Int64
+}
+
+func (c countingCursor) SkipWarm(n int, w trace.Warmer) int {
+	k := c.Cursor.SkipWarm(n, w)
+	c.warmed.Add(int64(k))
+	return k
+}
+
+// sourceCounter hands out counting cursors over one arena and totals
+// what they did.
+type sourceCounter struct {
+	a       *trace.Arena
+	sources atomic.Int64
+	warmed  atomic.Int64
+}
+
+func (s *sourceCounter) newSource() trace.Source {
+	s.sources.Add(1)
+	return countingCursor{Cursor: s.a.Cursor(), warmed: &s.warmed}
+}
+
+// TestSweepWork pins the sweep's cost model on a 4-window sampled plan.
+// Without a store, the plan skip-warms only the last span's skip zone
+// — max p, not the Σ p of per-span cold warming — over one source per
+// span (the sweep machine's source serves the last span). A capturing
+// pass does the same, and a restoring pass builds no sweep machine: it
+// opens one source per span and skip-warms nothing.
+func TestSweepWork(t *testing.T) {
+	cfg := sampledCfg()
+	specs, warm := cfg.SampleWindows(), cfg.Sampling.BoundaryWarm()
+	last := specs[len(specs)-1].Start - warm.DetailedInsts - warm.FFInsts
+	a, prog := testArena(t, "crypto01", 60_000)
+	store := ckpt.NewStore("")
+	run := func(st *ckpt.Store) (sources, warmed int64, digest string) {
+		sc := &sourceCounter{a: a}
+		r, err := wpar.Run(cfg, sc.newSource, prog, "crypto01",
+			wpar.Options{Workers: 2, Checkpoints: st, TraceID: "test:" + a.ID()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc.sources.Load(), sc.warmed.Load(), r.DeterminismDigest()
+	}
+	n := len(specs)
+	for _, pass := range []struct {
+		name    string
+		st      *ckpt.Store
+		skipped uint64
+	}{{"cold", nil, last}, {"capture", store, last}, {"restore", store, 0}} {
+		sources, warmed, digest := run(pass.st)
+		if sources != int64(n) || warmed != int64(pass.skipped) {
+			t.Errorf("%s pass: %d sources skip-warmed %d instructions, want %d sources and %d",
+				pass.name, sources, warmed, n, pass.skipped)
+		}
+		if _, _, want := run(nil); digest != want {
+			t.Errorf("%s pass digest differs from cold", pass.name)
+		}
+	}
+	if store.Len() != n || store.Hits() != n {
+		t.Errorf("store: %d captured, %d hits; want %d of each", store.Len(), store.Hits(), n)
+	}
+}
+
+// within runs f, failing t if it has not returned after d: a store
+// lease nobody releases blocks the next Acquire of its key forever.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s blocked for %v: a discarded boundary kept its store lease", what, d)
+	}
+}
+
+// TestAdaptiveStopLeavesNothingBehind: an adaptive run that stops early
+// discards the windows it dispatched past the stop point, and with them
+// every boundary the sweep produced ahead of them — no goroutine
+// outlives the run, and no store lease stays held (later runs over the
+// same store, adaptive or full, would block on it).
+func TestAdaptiveStopLeavesNothingBehind(t *testing.T) {
+	cfg := sampledCfg()
+	cfg.MeasureInsts = 120_000   // 12-window budget
+	cfg.Sampling.TargetCI = 0.25 // met at the first look, 8 windows
+	a, prog := testArena(t, "crypto01", 140_000)
+	store := ckpt.NewStore("")
+	opts := wpar.Options{Checkpoints: store, TraceID: "test:" + a.ID()}
+	newSource := func() trace.Source { return a.Cursor() }
+	for _, workers := range []int{1, 3, 8} {
+		before := runtime.NumGoroutine()
+		opts.Workers = workers
+		var (
+			r   sim.Result
+			err error
+		)
+		within(t, time.Minute, fmt.Sprintf("adaptive run at workers=%d", workers), func() {
+			r, err = wpar.Run(cfg, newSource, prog, "crypto01", opts)
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !r.Sampled.TargetMet || r.Sampled.Windows >= r.Sampled.WindowBudget {
+			t.Fatalf("workers=%d: run did not stop early: %+v", workers, r.Sampled)
+		}
+		// Goroutines signal completion just before they return.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("workers=%d: %d goroutines after the run, %d before", workers, n, before)
+		}
+	}
+
+	full := cfg
+	full.Sampling.TargetCI = 0
+	opts.Workers = 2
+	var err error
+	within(t, time.Minute, "full run over the adaptive runs' store", func() {
+		_, err = wpar.Run(full, newSource, prog, "crypto01", opts)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
