@@ -29,8 +29,9 @@
 #                           clean, 1 findings, 2 load error)
 #   5. ucplint -determinism (two seeded runs must byte-match)
 #   6. go test -race ./... (full suite under the race detector)
-#   7. fuzz smoke          (each internal/trace fuzz target and the
-#                           internal/sim checkpoint-restore target, 5s)
+#   7. fuzz smoke          (each internal/trace fuzz target, the
+#                           internal/sim checkpoint-restore target and
+#                           the internal/sweepd submit-decode target, 5s)
 #   8. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
 #                           cache must be byte-identical; wall-clock
 #                           ratios are recorded in BENCH_runq.json but
@@ -223,12 +224,16 @@ go test -race ./...
 fi
 
 # `go test -fuzz` accepts a single target at a time, so smoke each one.
+# FuzzDecodeSubmit's seeds are ~3 KB submit bodies; minimizing each new
+# interesting input at the default 60 s budget would stall the 5 s
+# smoke, so its minimization is capped at 50 executions.
 if want fuzz; then
-step "fuzz smoke (internal/trace, internal/sim)"
+step "fuzz smoke (internal/trace, internal/sim, internal/sweepd)"
 if [ "$FAST" -eq 0 ]; then
 	go test -fuzz=FuzzReadAny -fuzztime=5s -run='^$' ./internal/trace
 	go test -fuzz=FuzzValidate -fuzztime=5s -run='^$' ./internal/trace
 	go test -fuzz=FuzzRestoreWarm -fuzztime=5s -run='^$' ./internal/sim
+	go test -fuzz=FuzzDecodeSubmit -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/sweepd
 else
 	echo "skipped (-fast)"
 fi

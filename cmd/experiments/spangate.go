@@ -82,19 +82,6 @@ type spanKeys struct {
 	refMS, w1MS, wNMS, speedup, ipcErrPct string
 }
 
-// tparGateBoundary is the conservative boundary-warm geometry the tpar
-// gate runs — the same posture as DefaultBoundaryWarm: zero Cache/BP
-// budgets warm the entire skip zone, so no long-history state is ever
-// dropped at a boundary. On crypto01 that holds the boundary-warming
-// IPC error to ~0.6%; the bounded geometries trade error for boundary
-// cost and land above the 2% bar (EXPERIMENTS.md).
-func tparGateBoundary() sim.BoundaryWarm {
-	return sim.BoundaryWarm{
-		DetailedInsts: 5_000,
-		FFInsts:       50_000,
-	}
-}
-
 // wparGateSampling is the wpar gate's sampling geometry: the
 // conservative posture (zero Cache/BP budgets warm the entire skip
 // zone, so no long-history predictor or cache state is ever dropped)
@@ -119,15 +106,17 @@ func wparGateSampling() sim.SamplingConfig {
 }
 
 // spanGates returns the two rows. tpar: the paper's headline
-// configuration at figure-scale budgets, serial vs 4 boundary-warmed
-// segments. wpar: the headline configuration under a bounded-horizon
-// sampling geometry whose fixed budget is 20 windows, chain-serial vs
-// one span per window.
+// configuration at figure-scale budgets, serial vs 4 segments warmed
+// by sim.DefaultBoundaryWarm, whose unbounded cache and predictor
+// horizons drop no long-history state at a boundary (on crypto01 the
+// boundary-warming IPC error stays near 0.6%; bounded geometries land
+// above the 2% bar, EXPERIMENTS.md). wpar: the headline configuration
+// under the conservative sampling geometry of wparGateSampling, whose
+// fixed budget is 20 windows, chain-serial vs one span per window.
 func spanGates() (tpar, wpar spanGate) {
 	ref := runq.Job{Config: harness.UCP(), Warmup: tparGateWarmup, Measure: tparGateMeasure}
 	span := ref
 	span.Segments = tparGateSegments
-	span.Boundary = tparGateBoundary()
 	tpar = spanGate{
 		id: "tpar",
 		bench: fmt.Sprintf("tpar gate (%s, UCP full-detail, %d segments, serial vs time-parallel)",

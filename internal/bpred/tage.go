@@ -88,9 +88,6 @@ type Prediction struct {
 // HitBankNum returns the 1-based hit bank (0 if the bimodal provided).
 func (p *Prediction) HitBankNum() int { return p.hitBank }
 
-// AltBankNum returns the 1-based alternate bank (0 if bimodal).
-func (p *Prediction) AltBankNum() int { return p.altBank }
-
 // TageConfig sizes a TAGE instance.
 //
 //ucplint:config
@@ -214,9 +211,6 @@ func NewTAGE(cfg TageConfig) *TAGE {
 	}
 	return t
 }
-
-// Shape exposes the history shape so composites can build Hist contexts.
-func (t *TAGE) Shape() *histShape { return &t.shape }
 
 // NewHist returns a history context compatible with this predictor.
 func (t *TAGE) NewHist() *Hist { return newHist(&t.shape) }

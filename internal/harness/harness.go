@@ -32,15 +32,13 @@ type Options struct {
 	// Segments > 1 runs every sweep job time-parallel through the
 	// internal/wpar executor. Full-detail sweeps split the measured
 	// region into that many boundary-warmed trace segments simulated
-	// concurrently and reduced deterministically; Boundary tunes the
-	// per-boundary warming geometry (zero value:
-	// sim.DefaultBoundaryWarm). Sampled sweeps (Sampling.Enabled)
+	// concurrently and reduced deterministically, each boundary warmed
+	// by sim.DefaultBoundaryWarm. Sampled sweeps (Sampling.Enabled)
 	// instead shard per measured window — the window plan and boundary
-	// warm come from the sampling geometry and Boundary is ignored; the combination is
+	// warm come from the sampling geometry; the combination is
 	// validated by sim.Config.ValidateSegments. Like Sampling,
 	// parallel results hash to their own runq cache keys.
 	Segments int
-	Boundary sim.BoundaryWarm
 	// Out receives the rendered tables (must be non-nil).
 	Out io.Writer
 	// Verbose prints one line per completed run.
@@ -158,7 +156,6 @@ func (r *Runner) sweep(cfg sim.Config, profs []trace.Profile) ([]sim.Result, err
 			Warmup:   r.opts.Warmup,
 			Measure:  r.opts.Measure,
 			Segments: r.opts.Segments,
-			Boundary: r.opts.Boundary,
 		}
 	}
 	out := make([]sim.Result, len(jobs))

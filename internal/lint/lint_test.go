@@ -154,8 +154,6 @@ func TestCommutativeAnnotationsAreShuffleTested(t *testing.T) {
 	verified := map[string]bool{
 		// stats.TestHistogramMergeCommutes
 		"ucp/internal/stats.Histogram.Merge": true,
-		// stats.TestRunningMergeCommutes
-		"ucp/internal/stats.Running.Merge": true,
 	}
 	wd, err := os.Getwd()
 	if err != nil {

@@ -78,12 +78,6 @@ func NewLoader(dir string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.mod }
-
-// Root returns the absolute module root directory.
-func (l *Loader) Root() string { return l.root }
-
 // loaderImporter resolves imports during type checking: module-internal
 // paths recurse into the loader; everything else goes to the source
 // importer.

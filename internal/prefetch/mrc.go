@@ -15,8 +15,6 @@ type MRC struct {
 	cfg   MRCConfig
 	lru   map[uint64]uint64
 	clock uint64
-	hits  uint64
-	looks uint64
 }
 
 // MRCConfig sizes the MRC. The paper evaluates 64 µ-ops per entry at
@@ -59,11 +57,9 @@ func NewMRC(cfg MRCConfig) *MRC {
 
 // Lookup checks for a stream tagged with the corrected target.
 func (m *MRC) Lookup(tag uint64) bool {
-	m.looks++
 	m.clock++
 	if _, ok := m.lru[tag]; ok {
 		m.lru[tag] = m.clock
-		m.hits++
 		return true
 	}
 	return false
@@ -91,14 +87,6 @@ func (m *MRC) Record(tag uint64) {
 
 // OpsPerEntry returns the streamable µ-ops per hit.
 func (m *MRC) OpsPerEntry() int { return m.cfg.OpsPerEntry }
-
-// HitRate returns hits over lookups.
-func (m *MRC) HitRate() float64 {
-	if m.looks == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(m.looks)
-}
 
 // StorageKB returns the modeled hardware budget.
 func (m *MRC) StorageKB() float64 {

@@ -35,11 +35,15 @@ type keyPayload struct {
 	Warmup      uint64
 	Measure     uint64
 	Segments    int
-	Boundary    sim.BoundaryWarm
+	// Boundary is the boundary-warming geometry of a segmented
+	// full-detail job — always sim.DefaultBoundaryWarm, zero for every
+	// other job. It stays in the payload so records written while the
+	// geometry was a job option still hit.
+	Boundary sim.BoundaryWarm
 	// WindowParallel marks sampled jobs executed per-window through
 	// internal/wpar. The window plan is fully determined by the sampling
 	// geometry already inside Config, so the flag alone identifies the
-	// mode; Segments and Boundary are normalized away for such jobs.
+	// mode; Segments is normalized away for such jobs.
 	WindowParallel bool
 }
 
@@ -64,25 +68,23 @@ func keyWith(job Job, traceDigest string) (string, error) {
 	cfg := job.Config
 	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
 	// Normalize the time-parallel identity so equivalent jobs share a
-	// record: the serial forms (0 and 1 segments) collapse to one key,
-	// and an unset boundary warm collapses onto the default it resolves
-	// to. Segmented sampled jobs run window-parallel (wpar), where the
-	// geometry lives in Config.Sampling and Job.Boundary is ignored, so
-	// they collapse onto WindowParallel=true with Segments and Boundary
-	// zeroed — any segment count maps to the same wpar execution. The
-	// parallel mode stays in the key even though the merged numbers are
-	// meant to approximate the serial run — boundary warming and window
-	// independence change the measured bytes, so cached results must not
-	// cross those lines.
+	// record: the serial forms (0 and 1 segments) collapse to one key.
+	// Segmented sampled jobs run window-parallel (wpar), where the
+	// geometry lives in Config.Sampling, so they collapse onto
+	// WindowParallel=true with Segments zeroed — any segment count maps
+	// to the same wpar execution. The parallel mode stays in the key
+	// even though the merged numbers are meant to approximate the serial
+	// run — boundary warming and window independence change the measured
+	// bytes, so cached results must not cross those lines.
 	segments := job.Segments
-	boundary := job.Boundary
+	var boundary sim.BoundaryWarm
 	windowParallel := false
 	if segments <= 1 {
-		segments, boundary = 0, sim.BoundaryWarm{}
+		segments = 0
 	} else if cfg.Sampling.Enabled {
 		windowParallel = true
-		segments, boundary = 0, sim.BoundaryWarm{}
-	} else if boundary == (sim.BoundaryWarm{}) {
+		segments = 0
+	} else {
 		boundary = sim.DefaultBoundaryWarm()
 	}
 	b, err := json.Marshal(keyPayload{

@@ -58,10 +58,6 @@ type Job struct {
 	// of the cache key.
 	// 0 and 1 are the serial engine.
 	Segments int
-	// Boundary overrides the boundary-warming geometry for segmented
-	// full-detail runs (zero value: sim.DefaultBoundaryWarm). Sampled
-	// window-parallel runs ignore it.
-	Boundary sim.BoundaryWarm
 }
 
 // traceLabel names the job's workload in errors and reports.
@@ -613,12 +609,11 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 		}
 	}
 	if parallel {
-		// Sampled jobs treat Job.Segments only as the opt-in switch and
-		// ignore Job.Boundary (the key normalizes both away): wpar plans
-		// their windows and boundary warm from the sampling geometry.
+		// Sampled jobs treat Job.Segments only as the opt-in switch (the
+		// key normalizes it away): wpar plans their windows and boundary
+		// warm from the sampling geometry.
 		return wpar.Run(cfg, newSource, code, job.traceLabel(), wpar.Options{
 			Segments:    job.Segments,
-			Warm:        job.Boundary,
 			Workers:     p.workers(),
 			Checkpoints: p.ckpts,
 			TraceID:     traceID,

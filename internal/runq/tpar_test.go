@@ -9,9 +9,8 @@ import (
 
 // TestKeyNormalizesTimeParIdentity pins the cache-key contract for
 // time-parallel jobs: both serial spellings (0 and 1 segments) share
-// one key, an unset boundary warm keys like the default it resolves to,
-// and a segmented job never shares a record with its serial twin —
-// boundary warming changes the measured bytes.
+// one key, and a segmented job never shares a record with its serial
+// twin — boundary warming changes the measured bytes.
 func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	base := Job{Config: sim.Baseline(), Profile: trace.QuickProfiles()[0], Warmup: 1000, Measure: 1000}
 	k0, err := Key(base)
@@ -23,27 +22,12 @@ func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	if k1, _ := Key(one); k1 != k0 {
 		t.Error("Segments=1 keys apart from Segments=0; both are the serial engine")
 	}
-	strayBoundary := base
-	strayBoundary.Boundary = sim.DefaultBoundaryWarm()
-	if kb, _ := Key(strayBoundary); kb != k0 {
-		t.Error("Boundary on a serial job leaks into the key")
-	}
 
 	seg := base
 	seg.Segments = 4
 	ks, _ := Key(seg)
 	if ks == k0 {
 		t.Error("segmented job shares a key with its serial twin")
-	}
-	segDefault := seg
-	segDefault.Boundary = sim.DefaultBoundaryWarm()
-	if kd, _ := Key(segDefault); kd != ks {
-		t.Error("zero Boundary keys apart from the default it resolves to")
-	}
-	segOther := seg
-	segOther.Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
-	if ko, _ := Key(segOther); ko == ks {
-		t.Error("boundary-warm geometry not in the key")
 	}
 	segMore := seg
 	segMore.Segments = 8
@@ -52,16 +36,24 @@ func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	}
 }
 
+// segmentedQuickJobs builds 4-segment quick-profile jobs whose 60K
+// warmup gives every boundary under sim.DefaultBoundaryWarm (5K
+// detailed, 50K functional) a skip zone, so they run through the
+// boundary sweep.
+func segmentedQuickJobs() []Job {
+	jobs := quickJobs(60_000, 20_000)
+	for i := range jobs {
+		jobs[i].Segments = 4
+	}
+	return jobs
+}
+
 // TestSegmentedJobsDeterministicAcrossWorkerCounts is the pool-level
 // tentpole bar: segmented jobs must produce byte-identical digests
 // whether the pool runs one worker or eight — worker goroutines and
 // segment goroutines both reorder freely underneath.
 func TestSegmentedJobsDeterministicAcrossWorkerCounts(t *testing.T) {
-	jobs := quickJobs(20_000, 20_000)
-	for i := range jobs {
-		jobs[i].Segments = 4
-		jobs[i].Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
-	}
+	jobs := segmentedQuickJobs()
 	serial := New(Options{Workers: 1}).RunAll(jobs)
 	parallel := New(Options{Workers: 8}).RunAll(jobs)
 	for i := range jobs {
@@ -83,9 +75,7 @@ func TestSegmentedJobsDeterministicAcrossWorkerCounts(t *testing.T) {
 // replay byte-identically in a fresh pool.
 func TestSegmentedDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	jobs := quickJobs(20_000, 20_000)[:1]
-	jobs[0].Segments = 4
-	jobs[0].Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
+	jobs := segmentedQuickJobs()[:1]
 
 	cold := New(Options{Workers: 2, CacheDir: dir}).RunAll(jobs)
 	if cold[0].Err != nil {

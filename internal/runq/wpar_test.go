@@ -25,9 +25,8 @@ func sampledQuickJobs(warm, meas uint64) []Job {
 // TestKeyNormalizesWindowParIdentity pins the cache-key contract for
 // sampled parallel jobs: any Segments > 1 collapses onto the one
 // window-parallel execution (the window plan lives in Config.Sampling),
-// a stray Boundary is ignored, and window-parallel never shares a
-// record with the serial sampled run — window independence changes the
-// measured bytes.
+// and window-parallel never shares a record with the serial sampled run
+// — window independence changes the measured bytes.
 func TestKeyNormalizesWindowParIdentity(t *testing.T) {
 	base := sampledQuickJobs(1000, 8000)[0]
 	k0, err := Key(base)
@@ -44,11 +43,6 @@ func TestKeyNormalizesWindowParIdentity(t *testing.T) {
 	wpMore.Segments = 8
 	if km, _ := Key(wpMore); km != kw {
 		t.Error("segment count leaks into the window-parallel key; the window plan comes from the sampling geometry")
-	}
-	wpBoundary := wp
-	wpBoundary.Boundary = sim.DefaultBoundaryWarm()
-	if kb, _ := Key(wpBoundary); kb != kw {
-		t.Error("Boundary on a window-parallel job leaks into the key; wpar ignores it")
 	}
 	geom := wp
 	geom.Config.Sampling.DetailedInsts = 1_000

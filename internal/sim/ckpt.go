@@ -103,6 +103,16 @@ func WarmKey(cfg Config, traceID string) string {
 	return hex.EncodeToString(sum[:])
 }
 
+// acquireWarmup is AcquireBoundary for the sampled controller's initial
+// fast-forward: its boundary is the end of the warmup region, keyed by
+// WarmKey.
+func acquireWarmup(cfg Config, wc *WarmCheckpoints) Boundary {
+	if wc == nil || wc.Store == nil || cfg.WarmupInsts == 0 {
+		return Boundary{}
+	}
+	return acquire(wc.Store, WarmKey(cfg, wc.TraceID))
+}
+
 // captureWarm serializes the machine's functional-warm state at the end
 // of the initial fast-forward: the stream position split (skipped vs
 // functionally committed), the backend's commit counters, and every

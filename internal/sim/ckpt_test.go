@@ -59,7 +59,7 @@ func TestCkptRestoredMatchesCold(t *testing.T) {
 		cfg := ckptConfig(withUCP)
 		run := func(wc *sim.WarmCheckpoints) string {
 			src, code := ckptSource(t, cfg, withUCP)
-			res, err := sim.RunCkpt(cfg, src, code, "srv203", wc)
+			res, err := sim.RunHooked(cfg, src, code, "srv203", wc, nil)
 			if err != nil {
 				t.Fatalf("ucp=%v: run failed: %v", withUCP, err)
 			}
@@ -90,8 +90,8 @@ func TestCkptDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	run := func(store *ckpt.Store) string {
 		src, code := ckptSource(t, cfg, true)
-		res, err := sim.RunCkpt(cfg, src, code, "srv203",
-			&sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"})
+		res, err := sim.RunHooked(cfg, src, code, "srv203",
+			&sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}, nil)
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -161,7 +161,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	store := ckpt.NewStore("")
 	wcA := &sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}
 	src, code := ckptSource(t, cfgA, false)
-	if _, err := sim.RunCkpt(cfgA, src, code, "srv203", wcA); err != nil {
+	if _, err := sim.RunHooked(cfgA, src, code, "srv203", wcA, nil); err != nil {
 		t.Fatalf("capturing run failed: %v", err)
 	}
 	blobA, hit, _ := store.Acquire(sim.WarmKey(cfgA, wcA.TraceID))
@@ -181,7 +181,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	release(blobA)
 
 	src, code = ckptSource(t, cfgB, false)
-	if _, err := sim.RunCkpt(cfgB, src, code, "srv203", wcA); err == nil {
+	if _, err := sim.RunHooked(cfgB, src, code, "srv203", wcA, nil); err == nil {
 		t.Fatal("restore from a foreign-geometry checkpoint succeeded; want geometry error")
 	}
 }
@@ -199,7 +199,7 @@ func capturedPayload(t testing.TB, cfg sim.Config) (*trace.Program, []byte) {
 	store := ckpt.NewStore("")
 	wc := &sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}
 	src := trace.NewLimit(trace.NewWalker(prog), int(cfg.WarmupInsts+cfg.MeasureInsts)+200_000)
-	if _, err := sim.RunCkpt(cfg, src, prog, "srv203", wc); err != nil {
+	if _, err := sim.RunHooked(cfg, src, prog, "srv203", wc, nil); err != nil {
 		t.Fatalf("capturing run failed: %v", err)
 	}
 	blob, hit, _ := store.Acquire(sim.WarmKey(cfg, wc.TraceID))

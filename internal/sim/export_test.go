@@ -15,7 +15,7 @@ func (m *Machine) RestoreWarm(blob []byte) (skipped, ffTotal uint64, err error) 
 // under warm's horizons, returning its position accounting.
 func WarmedMachine(cfg Config, src trace.Source, code core.CodeInfo, pos uint64, warm BoundaryWarm) (m *Machine, skipped, ffTotal uint64, err error) {
 	m = NewMachine(cfg, src, code)
-	err = m.fastForward(pos, warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal)
+	err = m.fastForward(pos, warm, &skipped, &ffTotal)
 	return m, skipped, ffTotal, err
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ucp/internal/ckpt"
 	"ucp/internal/core"
 	"ucp/internal/frontend"
 	"ucp/internal/stats"
@@ -254,11 +253,11 @@ func (c Config) SampleWindows() []SegmentSpec {
 }
 
 // BoundaryWarm maps the sampling geometry's warming horizons onto the
-// per-boundary warming geometry RunSegment applies: the per-window
+// per-boundary warming geometry RunSegmentAt applies: the per-window
 // detailed warm becomes the boundary's detailed warm and the
 // functional/cache/predictor horizons carry over unchanged. This is the
 // bridge the window-parallel executor crosses — a sampled window is
-// exactly a RunSegment over the measured span with this warm — and it
+// exactly a RunSegmentAt over the measured span with this warm — and it
 // also makes window boundaries share checkpoint content addresses
 // (sim.BoundaryKey) with full-detail segment boundaries placed at the
 // same position under the same horizons.
@@ -478,15 +477,10 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	}
 	hook.note(StageWarming, 0, maxW)
 
-	var skipped, ffTotal uint64
-
-	// ffwd advances the stream position to `to` through the warming
-	// pyramid with the sampling geometry's horizons (fastForward below;
-	// the time-parallel segment runner shares the same implementation
-	// with its own BoundaryWarm horizons).
-	ffwd := func(to uint64) error {
-		return m.fastForward(to, s.FFWarmInsts, s.CacheWarmInsts, s.BPWarmInsts, &skipped, &ffTotal)
-	}
+	// Every fast-forward runs through the warming pyramid with the
+	// sampling geometry's horizons — the per-span boundary warm the
+	// window-parallel executor applies to the same windows.
+	warm := s.BoundaryWarm()
 
 	var (
 		streamAcc, refillAcc *stats.Histogram
@@ -502,26 +496,10 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	// once per warm key: the first run to finish it publishes the end
 	// state and every other run — later, or a concurrent sweep sibling
 	// blocked on the same key — restores it instead.
-	if wc != nil && wc.Store != nil && cfg.WarmupInsts > 0 {
-		key := WarmKey(cfg, wc.TraceID)
-		blob, hit, release := wc.Store.Acquire(key)
-		if hit {
-			var err error
-			if skipped, ffTotal, err = m.restoreWarm(blob); err != nil {
-				return Result{}, ckpt.KeyError(key, err)
-			}
-		} else {
-			// Leader: pay the fast-forward and publish. The deferred
-			// abort is once-guarded, so after a successful publish it is
-			// a no-op; on any error path it hands leadership to a waiter
-			// instead of deadlocking the flight.
-			defer release(nil)
-			if err := ffwd(cfg.WarmupInsts); err != nil {
-				return Result{}, err
-			}
-			release(m.captureWarm(skipped, ffTotal, 0))
-		}
-	} else if err := ffwd(cfg.WarmupInsts); err != nil {
+	at := acquireWarmup(cfg, wc)
+	defer at.Discard()
+	skipped, ffTotal, err := at.reach(m, cfg.WarmupInsts, warm)
+	if err != nil {
 		return Result{}, err
 	}
 	hook.note(StageMeasuring, 0, maxW)
@@ -535,26 +513,14 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	targetMet := false
 
 	for k := 0; k < maxW; k++ {
-		measureEnd := specs[k].End
-		measureStart := specs[k].Start
-		warmStart := measureStart - s.WarmInsts
-
-		if err := ffwd(warmStart); err != nil {
+		spec := specs[k]
+		if err := m.fastForward(warm.warmStart(spec.Start), warm, &skipped, &ffTotal); err != nil {
 			return Result{}, err
 		}
-
-		// Detailed warm, then the measured window. Targets are commit
-		// counts: absolute position minus what was skipped.
-		m.fe.Unpause()
-		if err := m.runUntil(measureStart - skipped); err != nil {
+		a, b, err := m.measure(spec.Start, spec.End, skipped)
+		if err != nil {
 			return Result{}, err
 		}
-		a := m.snap()
-		m.fe.ResetHistograms()
-		if err := m.runUntil(measureEnd - skipped); err != nil {
-			return Result{}, err
-		}
-		b := m.snap()
 
 		wInsts := b.insts - a.insts
 		wCycles := b.cycles - a.cycles
@@ -630,29 +596,30 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 }
 
 // fastForward advances the stream position to `to` through the warming
-// pyramid: the last ffW instructions run the functional path, the
-// cacheW before that warm caches and train the predictor, the bpW
-// before that train the predictor only, and anything earlier skips at
-// trace-generator speed (a zero horizon extends the corresponding tier
-// over the whole remainder). skipped/ffTotal are the caller's position
-// accounting: *skipped counts instructions that never reached the
-// backend, so the absolute stream position is *skipped + be.Committed.
-func (m *Machine) fastForward(to, ffW, cacheW, bpW uint64, skipped, ffTotal *uint64) error {
+// pyramid of w's horizons: the last FFInsts instructions run the
+// functional path, the CacheInsts before that warm caches and train the
+// predictor, the BPInsts before that train the predictor only, and
+// anything earlier skips at trace-generator speed (a zero horizon
+// extends the corresponding tier over the whole remainder).
+// skipped/ffTotal are the caller's position accounting: *skipped counts
+// instructions that never reached the backend, so the absolute stream
+// position is *skipped + be.Committed.
+func (m *Machine) fastForward(to uint64, w BoundaryWarm, skipped, ffTotal *uint64) error {
 	cur := *skipped + m.be.Committed
 	if to <= cur {
 		return nil
 	}
 	warm := to - cur
-	if ffW > 0 && warm > ffW {
-		skip := warm - ffW
-		warm = ffW
+	if w.FFInsts > 0 && warm > w.FFInsts {
+		skip := warm - w.FFInsts
+		warm = w.FFInsts
 		cacheZ := skip
-		if cacheW > 0 && cacheZ > cacheW {
-			cacheZ = cacheW
+		if w.CacheInsts > 0 && cacheZ > w.CacheInsts {
+			cacheZ = w.CacheInsts
 		}
 		bpZ := skip - cacheZ
-		if bpW > 0 && bpZ > bpW-cacheZ {
-			bpZ = bpW - cacheZ
+		if w.BPInsts > 0 && bpZ > w.BPInsts-cacheZ {
+			bpZ = w.BPInsts - cacheZ
 		}
 		pure := skip - cacheZ - bpZ
 		zones := [3]struct {

@@ -24,11 +24,10 @@ import (
 // commit → detailed warm). Because every span's outcome is a pure
 // function of (config, trace, span, warming geometry), spans can run
 // concurrently on any number of workers and reduce into one
-// byte-identical result. A span reaches its boundary state cold
-// (RunSegment), or from a Boundary: a stored checkpoint
-// (AcquireBoundary), or the end of its skip zone handed over by a
-// BoundarySweep, which warms the skip zones of a whole sweepable plan
-// in one pass instead of once per span (RunSegmentAt).
+// byte-identical result. RunSegmentAt runs one span from a Boundary: a
+// cold start, a stored checkpoint (AcquireBoundary), or the end of its
+// skip zone handed over by a BoundarySweep, which warms the skip zones
+// of a whole sweepable plan in one pass instead of once per span.
 
 // BoundaryWarm is the warming geometry applied at each segment
 // boundary. All counts are instructions; the pyramid-nesting rules
@@ -169,23 +168,6 @@ func BoundaryKey(cfg Config, traceID string, start uint64, warm BoundaryWarm) st
 	return hex.EncodeToString(sum[:])
 }
 
-// checkSpan is the argument contract shared by the span runners.
-func checkSpan(cfg Config, spec SegmentSpec, warm BoundaryWarm) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if cfg.Sampling.Enabled {
-		return fmt.Errorf("sim: RunSegment is the full-detail span runner; sampled configs parallelize per measured window through internal/wpar, which strips Sampling and derives the boundary warm from the sampling geometry")
-	}
-	if err := warm.Validate(); err != nil {
-		return err
-	}
-	if spec.End <= spec.Start {
-		return fmt.Errorf("sim: segment %d has empty span [%d, %d)", spec.Index, spec.Start, spec.End)
-	}
-	return nil
-}
-
 // warmStart is where a span's detailed warm begins: DetailedInsts
 // before its start, clamped at position zero.
 func (b BoundaryWarm) warmStart(start uint64) uint64 {
@@ -254,112 +236,128 @@ func AcquireBoundary(cfg Config, wc *WarmCheckpoints, spec SegmentSpec, warm Bou
 	if wc == nil || wc.Store == nil || warm.warmStart(spec.Start) == 0 {
 		return Boundary{}
 	}
-	key := BoundaryKey(cfg, wc.TraceID, spec.Start, warm)
-	blob, hit, release := wc.Store.Acquire(key)
+	return acquire(wc.Store, BoundaryKey(cfg, wc.TraceID, spec.Start, warm))
+}
+
+// acquire looks key up in st: a hit is a Boundary holding the stored
+// functional-warm state, a miss one holding the lease its capture is
+// published under.
+func acquire(st *ckpt.Store, key string) Boundary {
+	blob, hit, release := st.Acquire(key)
 	if hit {
 		return Boundary{blob: blob, warmed: true, key: key}
 	}
 	return Boundary{key: key, release: release}
 }
 
-// RunSegment simulates one segment of a full-detail run: rebuild the
-// boundary state at spec.Start (restoring a cached checkpoint when the
-// store has one, capturing one for the next run otherwise), then
-// measure [Start, End) in detailed mode. src must be a fresh stream at
-// position zero, not shared with any other segment (arena cursors are
-// the intended source). The result is deterministic for a given
-// (cfg, trace, spec, warm) regardless of worker placement, and a
-// checkpoint-restored boundary is byte-identical to a cold one.
-func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, wc *WarmCheckpoints) (SegmentResult, error) {
-	if err := checkSpan(cfg, spec, warm); err != nil {
-		return SegmentResult{}, err
-	}
-	return runSpan(cfg, func() trace.Source { return src }, code, spec, warm, AcquireBoundary(cfg, wc, spec, warm))
-}
-
-// RunSegmentAt is RunSegment from a boundary the caller obtained from
-// AcquireBoundary and, for a sweepable plan, BoundarySweep.Advance.
-// newSource is called at most once, for a fresh stream at position
-// zero; a boundary that hands over the sweep machine needs none. The
-// result is byte-identical to RunSegment's.
+// RunSegmentAt simulates one span of a time-parallel run: reach the
+// boundary state at spec.Start the way b says — a cold fast-forward (the
+// zero Boundary), a checkpoint from AcquireBoundary, or, for a sweepable
+// plan, BoundarySweep.Advance's hand-over — publishing the functional-warm
+// state when b carries a store lease, then measure [Start, End) in
+// detailed mode. newSource is called at most once, for a fresh stream at
+// position zero not shared with any other span (arena cursors are the
+// intended source); a boundary that hands over the sweep machine needs
+// none. The result is deterministic for a given (cfg, trace, spec, warm)
+// regardless of worker placement or of how the boundary was reached.
 func RunSegmentAt(cfg Config, newSource func() trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, b Boundary) (SegmentResult, error) {
-	if err := checkSpan(cfg, spec, warm); err != nil {
-		b.Discard()
-		return SegmentResult{}, err
-	}
-	return runSpan(cfg, newSource, code, spec, warm, b)
-}
-
-// runSpan reaches spec's boundary state the way at says, publishing the
-// functional-warm state when at carries a store lease, then measures the
-// span.
-func runSpan(cfg Config, newSource func() trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, at Boundary) (SegmentResult, error) {
 	// Once-guarded, so the abort is a no-op after a successful publish
 	// and hands the flight to a waiter on any error path.
-	defer at.Discard()
+	defer b.Discard()
+	if err := cfg.Validate(); err != nil {
+		return SegmentResult{}, err
+	}
+	if cfg.Sampling.Enabled {
+		return SegmentResult{}, fmt.Errorf("sim: RunSegmentAt is the full-detail span runner; sampled configs parallelize per measured window through internal/wpar, which strips Sampling and derives the boundary warm from the sampling geometry")
+	}
+	if err := warm.Validate(); err != nil {
+		return SegmentResult{}, err
+	}
+	if spec.End <= spec.Start {
+		return SegmentResult{}, fmt.Errorf("sim: segment %d has empty span [%d, %d)", spec.Index, spec.Start, spec.End)
+	}
 
 	// The detailed engine reads src only after the fast-forward is
 	// done, so the frontend's batched read-ahead cannot outrun a stream
 	// position nobody advances anymore — no scalar wrapper needed
 	// (unlike the sampled mode, which alternates back into functional
 	// phases after detailed windows).
-	m, skipped := at.m, at.skipped
+	m := b.m
 	if m == nil {
 		m = NewMachine(cfg, newSource(), code)
 	}
-	var ffTotal uint64
-	if at.blob != nil {
-		var err error
-		if skipped, ffTotal, err = m.restoreWarm(at.blob); err != nil {
-			if at.key != "" {
-				err = ckpt.KeyError(at.key, err)
-			}
-			return SegmentResult{}, err
-		}
-	}
-	if !at.warmed {
-		if err := m.fastForward(warm.warmStart(spec.Start), warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
-			return SegmentResult{}, err
-		}
-		if at.release != nil {
-			at.release(m.captureWarm(skipped, ffTotal, len(at.blob)))
-		}
-	}
-
-	// Detailed warm to the segment start, then the measured span.
-	// Targets are commit counts: absolute position minus what the
-	// fast-forward skipped.
-	m.fe.Unpause()
-	if err := m.runUntil(spec.Start - skipped); err != nil {
+	skipped, ffTotal, err := b.reach(m, warm.warmStart(spec.Start), warm)
+	if err != nil {
 		return SegmentResult{}, err
 	}
-	a := m.snap()
-	m.fe.ResetHistograms()
-	if err := m.runUntil(spec.End - skipped); err != nil {
+	a, z, err := m.measure(spec.Start, spec.End, skipped)
+	if err != nil {
 		return SegmentResult{}, err
 	}
-	b := m.snap()
-
 	r := SegmentResult{
 		Index:         spec.Index,
 		Start:         spec.Start,
 		End:           spec.End,
-		Insts:         b.insts - a.insts,
-		Cycles:        b.cycles - a.cycles,
-		FE:            SubCounters(a.fe, b.fe),
-		Uop:           SubCounters(a.uop, b.uop),
-		UCP:           SubCounters(a.ucp, b.ucp),
-		L1I:           SubCounters(a.l1i, b.l1i),
+		Insts:         z.insts - a.insts,
+		Cycles:        z.cycles - a.cycles,
+		FE:            SubCounters(a.fe, z.fe),
+		Uop:           SubCounters(a.uop, z.uop),
+		UCP:           SubCounters(a.ucp, z.ucp),
+		L1I:           SubCounters(a.l1i, z.l1i),
 		StreamLens:    m.fe.StreamLens,
 		RefillLat:     m.fe.RefillLat,
 		SkippedInsts:  skipped,
 		FFInsts:       ffTotal,
-		DetailedInsts: b.insts - ffTotal,
+		DetailedInsts: z.insts - ffTotal,
 	}
 	if m.ucp != nil {
 		r.UCPStorageKB = m.ucp.StorageKB()
 	}
 	return r, nil
+}
+
+// reach brings m — a fresh machine, or the sweep machine b hands over —
+// to position `to` the way b says: restore b's checkpoint, then, unless
+// that already is the functional-warm state, fast-forward under warm's
+// horizons and publish the result when b carries a store lease. It
+// returns m's position accounting. The caller discards b.
+func (b Boundary) reach(m *Machine, to uint64, warm BoundaryWarm) (skipped, ffTotal uint64, err error) {
+	skipped = b.skipped
+	if b.blob != nil {
+		if skipped, ffTotal, err = m.restoreWarm(b.blob); err != nil {
+			if b.key != "" {
+				err = ckpt.KeyError(b.key, err)
+			}
+			return 0, 0, err
+		}
+	}
+	if !b.warmed {
+		if err := m.fastForward(to, warm, &skipped, &ffTotal); err != nil {
+			return 0, 0, err
+		}
+		if b.release != nil {
+			b.release(m.captureWarm(skipped, ffTotal, len(b.blob)))
+		}
+	}
+	return skipped, ffTotal, nil
+}
+
+// measure runs one span in detailed mode — the detailed warm up to
+// position start, then the measured span [start, end) — and returns
+// the counter snapshots at the span's two ends. Positions are absolute;
+// the commit targets subtract what the fast-forward skipped. The
+// sampled chain's windows and RunSegmentAt's spans both measure here.
+func (m *Machine) measure(start, end, skipped uint64) (a, z snapshot, err error) {
+	m.fe.Unpause()
+	if err := m.runUntil(start - skipped); err != nil {
+		return a, z, err
+	}
+	a = m.snap()
+	m.fe.ResetHistograms()
+	if err := m.runUntil(end - skipped); err != nil {
+		return a, z, err
+	}
+	return a, m.snap(), nil
 }
 
 // BoundarySweep builds the boundary states of a sweepable plan
@@ -379,7 +377,7 @@ func runSpan(cfg Config, newSource func() trace.Source, code core.CodeInfo, spec
 // nothing; the sweep machine is built on the first miss, so a fully
 // cached plan does no sweep work at all. Zone-end checkpoints never
 // enter the store: a missing span publishes its functional-warm state
-// under its BoundaryKey as RunSegment does.
+// under its BoundaryKey as a cold span does.
 //
 // A BoundarySweep is not safe for concurrent use; its Boundaries are
 // independent and may be run on any goroutine.
@@ -396,7 +394,7 @@ type BoundarySweep struct {
 }
 
 // NewBoundarySweep starts a sweep over the plan of cfg (a full-detail
-// config, as RunSegment takes) under warm, which must be Sweepable.
+// config, as RunSegmentAt takes) under warm, which must be Sweepable.
 // newSource is called once, on the first boundary that needs sweeping.
 func NewBoundarySweep(cfg Config, newSource func() trace.Source, code core.CodeInfo, warm BoundaryWarm) (*BoundarySweep, error) {
 	if err := cfg.Validate(); err != nil {

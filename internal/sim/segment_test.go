@@ -36,9 +36,9 @@ func TestRunSegmentDeterministic(t *testing.T) {
 	warm := sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
 	mk := func() sim.SegmentResult {
 		src, prog := segSource(t, "crypto01", spec.End)
-		r, err := sim.RunSegment(cfg, src, prog, spec, warm, nil)
+		r, err := sim.RunSegmentAt(cfg, func() trace.Source { return src }, prog, spec, warm, sim.AcquireBoundary(cfg, nil, spec, warm))
 		if err != nil {
-			t.Fatalf("RunSegment: %v", err)
+			t.Fatalf("RunSegmentAt: %v", err)
 		}
 		return r
 	}
@@ -66,9 +66,9 @@ func TestRunSegmentCheckpointRestoreIdentical(t *testing.T) {
 
 	run := func(wc *sim.WarmCheckpoints) sim.SegmentResult {
 		src, prog := segSource(t, "srv203", spec.End)
-		r, err := sim.RunSegment(cfg, src, prog, spec, warm, wc)
+		r, err := sim.RunSegmentAt(cfg, func() trace.Source { return src }, prog, spec, warm, sim.AcquireBoundary(cfg, wc, spec, warm))
 		if err != nil {
-			t.Fatalf("RunSegment: %v", err)
+			t.Fatalf("RunSegmentAt: %v", err)
 		}
 		return r
 	}
@@ -103,9 +103,9 @@ func TestRunSegmentShorterThanWarmWindow(t *testing.T) {
 	warm := sim.BoundaryWarm{DetailedInsts: 5_000} // wider than the whole prefix
 	mk := func() sim.SegmentResult {
 		src, prog := segSource(t, "crypto01", spec.End)
-		r, err := sim.RunSegment(cfg, src, prog, spec, warm, nil)
+		r, err := sim.RunSegmentAt(cfg, func() trace.Source { return src }, prog, spec, warm, sim.AcquireBoundary(cfg, nil, spec, warm))
 		if err != nil {
-			t.Fatalf("RunSegment: %v", err)
+			t.Fatalf("RunSegmentAt: %v", err)
 		}
 		return r
 	}
@@ -129,12 +129,13 @@ func TestRunSegmentRejects(t *testing.T) {
 	sampled := cfg
 	sampled.Sampling = quickSampling()
 	sampled.MeasureInsts = 100_000
+	span, empty := sim.SegmentSpec{Start: 10_000, End: 20_000}, sim.SegmentSpec{Start: 10_000, End: 10_000}
 	src, prog := segSource(t, "crypto01", 20_000)
-	if _, err := sim.RunSegment(sampled, src, prog, sim.SegmentSpec{Start: 10_000, End: 20_000}, warm, nil); err == nil || !strings.Contains(err.Error(), "full-detail") {
+	newSource := func() trace.Source { return src }
+	if _, err := sim.RunSegmentAt(sampled, newSource, prog, span, warm, sim.AcquireBoundary(sampled, nil, span, warm)); err == nil || !strings.Contains(err.Error(), "full-detail") {
 		t.Errorf("sampled config accepted: err = %v", err)
 	}
-	src, prog = segSource(t, "crypto01", 20_000)
-	if _, err := sim.RunSegment(cfg, src, prog, sim.SegmentSpec{Start: 10_000, End: 10_000}, warm, nil); err == nil || !strings.Contains(err.Error(), "empty span") {
+	if _, err := sim.RunSegmentAt(cfg, newSource, prog, empty, warm, sim.AcquireBoundary(cfg, nil, empty, warm)); err == nil || !strings.Contains(err.Error(), "empty span") {
 		t.Errorf("empty span accepted: err = %v", err)
 	}
 }

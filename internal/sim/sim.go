@@ -395,21 +395,14 @@ func (m *Machine) snap() snapshot {
 
 // Run executes the configured warmup + measurement phases over src.
 func Run(cfg Config, src trace.Source, code core.CodeInfo, traceName string) (Result, error) {
-	return RunCkpt(cfg, src, code, traceName, nil)
+	return RunHooked(cfg, src, code, traceName, nil, nil)
 }
 
-// RunCkpt is Run with an optional warm-checkpoint store (ckpt.go): in
-// sampled mode the initial fast-forward is captured once per warm key
-// and restored on every later run sharing it, with byte-identical
-// results either way. A nil wc (or a full-detail config) behaves
-// exactly like Run.
-func RunCkpt(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints) (Result, error) {
-	return RunHooked(cfg, src, code, traceName, wc, nil)
-}
-
-// RunHooked is RunCkpt with an optional progress hook (progress.go).
-// The hook is observability only: results are byte-identical with and
-// without one.
+// RunHooked is Run with an optional warm-checkpoint store (ckpt.go) and
+// an optional progress hook (progress.go). With a store, a sampled
+// run's initial fast-forward is captured once per warm key and restored
+// on every later run sharing it; a nil wc (or a full-detail config)
+// changes nothing. Results are byte-identical with and without either.
 func RunHooked(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints, hook ProgressFunc) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

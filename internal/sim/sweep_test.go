@@ -114,7 +114,8 @@ func checkSweepExact(t *testing.T, cfg sim.Config, specs []sim.SegmentSpec, warm
 		if err != nil {
 			t.Fatalf("span %d: swept run: %v", i, err)
 		}
-		want, err := sim.RunSegment(cfg, arena.Cursor(), prog, spec, warm, &sim.WarmCheckpoints{Store: cold, TraceID: traceID})
+		want, err := sim.RunSegmentAt(cfg, newSource, prog, spec, warm,
+			sim.AcquireBoundary(cfg, &sim.WarmCheckpoints{Store: cold, TraceID: traceID}, spec, warm))
 		if err != nil {
 			t.Fatalf("span %d: cold run: %v", i, err)
 		}

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -49,111 +48,6 @@ func relErr(got, want float64) float64 {
 		return d / m
 	}
 	return d
-}
-
-// TestRunningMergeMatchesTwoPass pins Merge (Chan et al.'s pairwise
-// combine) against the naive two-pass moments: however a sample stream
-// is split into parts and however those parts are merged, the combined
-// accumulator must report the same count, mean, and sum of squared
-// deviations as a direct two-pass computation over the whole stream.
-func TestRunningMergeMatchesTwoPass(t *testing.T) {
-	r := rng.New(21)
-	for _, n := range []int{2, 7, 30, 257} {
-		for _, parts := range []int{1, 2, 3, 8} {
-			var xs []float64
-			for i := 0; i < n; i++ {
-				xs = append(xs, 1000+1e3*(r.Float64()-0.5))
-			}
-			// Two-pass reference.
-			sum := 0.0
-			for _, x := range xs {
-				sum += x
-			}
-			wantMean := sum / float64(n)
-			wantM2 := 0.0
-			for _, x := range xs {
-				wantM2 += (x - wantMean) * (x - wantMean)
-			}
-			// Split round-robin into parts, accumulate, merge left to right.
-			accs := make([]Running, parts)
-			for i, x := range xs {
-				accs[i%parts].Add(x)
-			}
-			var merged Running
-			for i := range accs {
-				merged.Merge(&accs[i])
-			}
-			if merged.n != n {
-				t.Errorf("n=%d parts=%d: merged count %d", n, parts, merged.n)
-			}
-			if relErr(merged.mean, wantMean) > 1e-12 {
-				t.Errorf("n=%d parts=%d: merged mean %.17g, two-pass %.17g", n, parts, merged.mean, wantMean)
-			}
-			if relErr(merged.m2, wantM2) > 1e-9 {
-				t.Errorf("n=%d parts=%d: merged m2 %.17g, two-pass %.17g", n, parts, merged.m2, wantM2)
-			}
-		}
-	}
-}
-
-// TestRunningMergeEdgeCases: merging an empty accumulator (either side)
-// must be the identity, and single-sample parts must combine into the
-// same state Add would build.
-func TestRunningMergeEdgeCases(t *testing.T) {
-	var a, empty Running
-	a.Add(2)
-	a.Add(4)
-	before := a
-	a.Merge(&empty)
-	if a != before {
-		t.Errorf("merging empty changed the accumulator: %+v -> %+v", before, a)
-	}
-	empty.Merge(&a)
-	if empty != a {
-		t.Errorf("merging into empty did not copy: %+v vs %+v", empty, a)
-	}
-
-	var x, y, ref Running
-	x.Add(2)
-	y.Add(4)
-	x.Merge(&y)
-	ref.Add(2)
-	ref.Add(4)
-	if x.n != ref.n || relErr(x.mean, ref.mean) > 1e-15 || relErr(x.m2, ref.m2) > 1e-15 {
-		t.Errorf("single-sample merge %+v differs from sequential Add %+v", x, ref)
-	}
-}
-
-// TestRunningMergeCommutes backs Merge's //ucplint:commutative
-// annotation with the dynamic shuffle harness. The parts are built so
-// every intermediate value is exactly representable — each part holds
-// the two samples c±2^a, so its mean is exactly c and its m2 exactly
-// 2·4^a, making every merge's delta zero and every m2 addition a sum
-// of distinct powers of two — which pins bit-exact digest equality
-// under any merge order, not just statistical equivalence. Registered
-// in ucplint's verified set
-// (TestCommutativeAnnotationsAreShuffleTested).
-func TestRunningMergeCommutes(t *testing.T) {
-	const c = 1000
-	parts := make([]*Running, 12)
-	for i := range parts {
-		var r Running
-		r.Add(c - float64(int64(1)<<i))
-		r.Add(c + float64(int64(1)<<i))
-		parts[i] = &r
-	}
-	err := CheckCommutative(
-		func() *Running { return &Running{} },
-		func(dst, src *Running) { dst.Merge(src) },
-		func(r *Running) string {
-			return fmt.Sprintf("n=%d mean=%x m2=%x", r.n,
-				math.Float64bits(r.mean), math.Float64bits(r.m2))
-		},
-		parts, 0xD1CE, 64,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestRunningEdgeCases pins the empty/single/constant edge cases the

@@ -213,45 +213,11 @@ func (s *Server) Shutdown(cancel <-chan struct{}) error {
 // backpressure, all-or-nothing admission (so a retried 503 cannot
 // half-duplicate a batch).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		replyError(w, http.StatusBadRequest, fmt.Sprintf("decoding submit request: %v", err))
+	req, jobs, ids, err := decodeSubmit(http.MaxBytesReader(w, r.Body, 16<<20))
+	if err != nil {
+		replyError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if req.Protocol != ProtocolVersion {
-		replyError(w, http.StatusBadRequest, fmt.Sprintf(
-			"protocol mismatch: client %q, server %q", req.Protocol, ProtocolVersion))
-		return
-	}
-	if req.Model != sim.ModelVersion {
-		replyError(w, http.StatusBadRequest, fmt.Sprintf(
-			"model mismatch: client %q, server %q — results would not be comparable", req.Model, sim.ModelVersion))
-		return
-	}
-	if len(req.Jobs) == 0 {
-		replyError(w, http.StatusBadRequest, "empty job batch")
-		return
-	}
-	// Resolve keys and validate configs before taking the lock: a bad
-	// job rejects the batch with a 400 naming the offender, not a 500
-	// from the middle of execution.
-	ids := make([]string, len(req.Jobs))
-	jobs := make([]runq.Job, len(req.Jobs))
-	for i, spec := range req.Jobs {
-		if err := spec.Config.Validate(); err != nil {
-			replyError(w, http.StatusBadRequest, fmt.Sprintf("job %d (%s): %v", i, spec.Config.Name, err))
-			return
-		}
-		jobs[i] = spec.Job()
-		key, err := runq.Key(jobs[i])
-		if err != nil {
-			replyError(w, http.StatusBadRequest, fmt.Sprintf("job %d (%s): %v", i, spec.Config.Name, err))
-			return
-		}
-		ids[i] = key
-	}
-
 	admitted, retryAfter := s.admit(req.Jobs, jobs, ids)
 	if !admitted {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
@@ -263,6 +229,45 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Model:    sim.ModelVersion,
 		IDs:      ids,
 	})
+}
+
+// decodeSubmit parses a submit body and vets it before anything takes
+// the lock: the protocol and model stamps, then each job's config at the
+// budgets it will run with (runq replaces the config's own
+// WarmupInsts/MeasureInsts with the job's), its segment composition and
+// its key. A bad job rejects the batch with an error naming the
+// offender — a 400, not a failure in the middle of execution.
+func decodeSubmit(body io.Reader) (req SubmitRequest, jobs []runq.Job, ids []string, err error) {
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, nil, nil, fmt.Errorf("decoding submit request: %v", err)
+	}
+	if req.Protocol != ProtocolVersion {
+		return req, nil, nil, fmt.Errorf("protocol mismatch: client %q, server %q", req.Protocol, ProtocolVersion)
+	}
+	if req.Model != sim.ModelVersion {
+		return req, nil, nil, fmt.Errorf("model mismatch: client %q, server %q — results would not be comparable", req.Model, sim.ModelVersion)
+	}
+	if len(req.Jobs) == 0 {
+		return req, nil, nil, fmt.Errorf("empty job batch")
+	}
+	ids = make([]string, len(req.Jobs))
+	jobs = make([]runq.Job, len(req.Jobs))
+	for i, spec := range req.Jobs {
+		jobs[i] = spec.Job()
+		cfg := spec.Config
+		cfg.WarmupInsts, cfg.MeasureInsts = spec.Warmup, spec.Measure
+		err := cfg.Validate()
+		if err == nil {
+			err = cfg.ValidateSegments(spec.Segments)
+		}
+		if err == nil {
+			ids[i], err = runq.Key(jobs[i])
+		}
+		if err != nil {
+			return req, nil, nil, fmt.Errorf("job %d (%s): %v", i, spec.Config.Name, err)
+		}
+	}
+	return req, jobs, ids, nil
 }
 
 // admit registers a batch under the lock. Jobs whose key is already

@@ -585,6 +585,43 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestSegmentCompositionRejected: a sampled job whose per-window warm
+// is below the window-parallel floor passes Config.Validate but not
+// Config.ValidateSegments. Admission must refuse it with a 400 naming
+// the job, before it is queued, retried and failed in execution.
+func TestSegmentCompositionRejected(t *testing.T) {
+	var execs atomic.Int32
+	_, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			execs.Add(1)
+			return sim.Result{}, nil
+		}},
+	})
+	spec := testSpec(t, "short-warm")
+	spec.Measure = 40_000
+	spec.Config.Sampling = sim.SamplingConfig{Enabled: true, PeriodInsts: 10_000, DetailedInsts: 2_000, WarmInsts: 500}
+	spec.Segments = 4
+	body, _ := json.Marshal(sweepd.SubmitRequest{
+		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion,
+		Jobs: []sweepd.JobSpec{testSpec(t, "fine"), spec},
+	})
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	defer resp.Body.Close()
+	var reply sweepd.ErrorReply
+	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
+		t.Fatalf("decoding reply: %v", err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(reply.Error, "job 1 (short-warm)") || !strings.Contains(reply.Error, "WarmInsts") {
+		t.Fatalf("status %d, error %q; want 400 naming job 1 and its WarmInsts", resp.StatusCode, reply.Error)
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("a rejected batch executed %d jobs", n)
+	}
+}
+
 // TestIdempotentResubmit submits the same spec after completion and
 // requires the same ID back with the result served from the memo tier
 // (no second execution).

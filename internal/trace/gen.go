@@ -711,33 +711,6 @@ func min(a, b int) int {
 	return b
 }
 
-// BehaviorDescAt returns a debug description of the branch behavior at
-// pc ("biased p=0.98", "pattern period=3", ...). It returns "" for
-// non-branch or behavior-free instructions. Intended for tests and
-// workload diagnostics.
-func (p *Program) BehaviorDescAt(pc uint64) string {
-	idx := int((pc - CodeBase) / isa.InstBytes)
-	if idx < 0 || idx >= len(p.Code) || p.Code[idx].behav < 0 {
-		return ""
-	}
-	b := &p.behaviors[p.Code[idx].behav]
-	switch b.kind {
-	case bBiased:
-		return fmt.Sprintf("biased p=%.3f", b.p)
-	case bPattern:
-		return fmt.Sprintf("pattern period=%d", b.period)
-	case bHistory:
-		return fmt.Sprintf("history mask=%#x", b.histMask)
-	case bRandom:
-		return fmt.Sprintf("random p=%.3f", b.p)
-	case bLoop:
-		return fmt.Sprintf("loop fixed=%d mean=%.1f", b.tripFixed, b.tripMean)
-	case bIndirect:
-		return fmt.Sprintf("indirect cases=%d hist=%v", len(b.cases), b.caseHist)
-	}
-	return "?"
-}
-
 // ClassAt returns the instruction class at pc. It implements the
 // simulator's CodeInfo interface (post-decode class knowledge for UCP's
 // alternate fill path).

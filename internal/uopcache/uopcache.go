@@ -285,14 +285,6 @@ func (u *UopCache) InvalidateLine(lineAddr uint64) {
 	}
 }
 
-// InvalidateAll empties the cache (used between experiment phases).
-func (u *UopCache) InvalidateAll() {
-	for i := range u.data {
-		u.tags[i] = 0
-		u.data[i] = Entry{}
-	}
-}
-
 // Stats returns a copy of the counters.
 func (u *UopCache) Stats() Stats { return u.stats }
 

@@ -13,8 +13,8 @@
 //
 //   - Full-detail configs split the measured region into
 //     Options.Segments contiguous segments (Plan), boundary-warmed by
-//     Options.Warm. One segment runs the serial engine instead,
-//     byte-identical to sim.Run.
+//     sim.DefaultBoundaryWarm. One segment runs the serial engine
+//     instead, byte-identical to sim.Run.
 //   - Sampled configs run one span per measured window of the sampling
 //     schedule (sim.Config.SampleWindows) at any Options.Segments,
 //     boundary-warmed with the horizons the sampling geometry already
@@ -90,10 +90,6 @@ type Options struct {
 	// measured instruction count; <= 1 runs the serial engine). Sampled
 	// configs ignore it: their windows are the spans.
 	Segments int
-	// Warm is the full-detail boundary-warming geometry (zero value:
-	// sim.DefaultBoundaryWarm). Sampled configs derive theirs from the
-	// sampling geometry instead.
-	Warm sim.BoundaryWarm
 	// Workers bounds concurrent span simulations (GOMAXPROCS when
 	// <= 0). Results are byte-identical at any value.
 	Workers int
@@ -160,7 +156,7 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 	}
 
 	s := cfg.Sampling
-	spanCfg, warm := cfg, opts.Warm
+	spanCfg, warm := cfg, sim.DefaultBoundaryWarm()
 	var specs []sim.SegmentSpec
 	budget := 0
 	if s.Enabled {
@@ -178,7 +174,7 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		}
 		// Each window runs as a full-detail segment: Sampling is
 		// stripped so the per-window machine is the plain detailed
-		// engine (RunSegment's contract), and the warm above carries the
+		// engine (RunSegmentAt's contract), and the warm above carries the
 		// sampling horizons. Window boundaries therefore share
 		// sim.BoundaryKey checkpoint addresses with any full-detail
 		// segment boundary at the same position and horizons.
@@ -187,12 +183,6 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		specs = Plan(cfg.WarmupInsts, cfg.MeasureInsts, opts.Segments)
 		if len(specs) <= 1 {
 			return sim.RunHooked(cfg, newSource(), code, traceName, wc, opts.Hook)
-		}
-		if warm == (sim.BoundaryWarm{}) {
-			warm = sim.DefaultBoundaryWarm()
-		}
-		if err := warm.Validate(); err != nil {
-			return sim.Result{}, err
 		}
 	}
 	n := len(specs)

@@ -46,20 +46,19 @@ func sampledCfg() sim.Config {
 	return cfg
 }
 
-// fullCfg is the full-detail counterpart of sampledCfg: the same 20K
-// warmup and 40K measured instructions, split into segments by Plan.
+// fullCfg is the full-detail counterpart of sampledCfg: the same 40K
+// measured instructions, split into segments by Plan, after an 80K
+// warmup — long enough that every segment boundary under
+// sim.DefaultBoundaryWarm (5K detailed, 50K functional) has a skip zone
+// for the boundary sweep to cross.
 func fullCfg() sim.Config {
 	cfg := sim.WithUCP(core.DefaultConfig())
-	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
+	cfg.WarmupInsts, cfg.MeasureInsts = 80_000, 40_000
 	return cfg
 }
 
-func testWarm() sim.BoundaryWarm {
-	return sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
-}
-
-// mode is one of the executor's two span plans over the shared 60K
-// geometry: four measured windows, or four full-detail segments.
+// mode is one of the executor's two span plans over 40K measured
+// instructions: four measured windows, or four full-detail segments.
 type mode struct {
 	name    string
 	cfg     sim.Config
@@ -73,10 +72,13 @@ func modes() []mode {
 	return []mode{
 		{"sampled", sampledCfg(), wpar.Options{}, "crypto01",
 			[]string{"sampled windows=4", "sampled w0 ipc=", "timepar segments=4", "timepar s3 "}},
-		{"full-detail", fullCfg(), wpar.Options{Segments: 4, Warm: testWarm()}, "srv203",
+		{"full-detail", fullCfg(), wpar.Options{Segments: 4}, "srv203",
 			[]string{"timepar segments=4", "timepar s0 ", "timepar s3 "}},
 	}
 }
+
+// end is where the mode's plan stops reading its stream.
+func (m mode) end() uint64 { return m.cfg.WarmupInsts + m.cfg.MeasureInsts }
 
 // TestWorkerCountInvariance is the tentpole determinism bar: the same
 // parallel run must produce byte-identical digests at any worker count,
@@ -85,7 +87,7 @@ func modes() []mode {
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			a, prog := testArena(t, m.profile, 60_000)
+			a, prog := testArena(t, m.profile, m.end())
 			run := func(workers int) sim.Result {
 				opts := m.opts
 				opts.Workers = workers
@@ -204,7 +206,7 @@ func TestAdaptiveStopInvariant(t *testing.T) {
 func TestCheckpointRestoredRunIdentical(t *testing.T) {
 	for _, m := range modes() {
 		t.Run(m.name, func(t *testing.T) {
-			a, prog := testArena(t, m.profile, 60_000)
+			a, prog := testArena(t, m.profile, m.end())
 			store := ckpt.NewStore("")
 			run := func(st *ckpt.Store) sim.Result {
 				opts := m.opts
@@ -237,13 +239,13 @@ func TestCheckpointRestoredRunIdentical(t *testing.T) {
 }
 
 // TestFullDetailSpansFromPlan: a full-detail config is split by Plan
-// over Options.Segments, boundary-warmed by Options.Warm, and reduces
-// without a sampled section.
+// over Options.Segments, boundary-warmed by sim.DefaultBoundaryWarm,
+// and reduces without a sampled section.
 func TestFullDetailSpansFromPlan(t *testing.T) {
 	cfg := fullCfg()
-	a, prog := testArena(t, "crypto01", 60_000)
+	a, prog := testArena(t, "crypto01", 120_000)
 	r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-		wpar.Options{Segments: 3, Workers: 2, Warm: testWarm()})
+		wpar.Options{Segments: 3, Workers: 2})
 	if err != nil {
 		t.Fatalf("full-detail run: %v", err)
 	}
@@ -327,17 +329,17 @@ func (p *panicSource) Next() (isa.Inst, bool) {
 func (p *panicSource) Reset() { p.src.Reset(); p.pos = 0 }
 
 // TestSpanErrors drives the executor's failure paths: a stream that
-// ends at instruction 45K, and one that panics there. Every span reads
-// its stream from position zero, so exactly the spans reaching past 45K
-// (spans 2 and 3 of both plans) fail. The run must return an error
+// ends 15K before the plan's end, and one that panics there. Every span
+// reads its stream from position zero, so exactly the spans reaching
+// past that point (spans 2 and 3 of both plans) fail. The run must return an error
 // naming span 2 — the lowest failing index, whatever order the spans
 // finish in — identical at 1 and 4 workers, and a panic must surface as
 // an error rather than take the process down.
 func TestSpanErrors(t *testing.T) {
-	const failAt = 45_000
 	for _, m := range modes() {
-		full, prog := testArena(t, m.profile, 60_000)
-		short := trace.ArenaFromSource(trace.NewWalker(prog), failAt)
+		failAt := m.end() - 15_000
+		full, prog := testArena(t, m.profile, m.end())
+		short := trace.ArenaFromSource(trace.NewWalker(prog), int(failAt))
 		sources := map[string]func() trace.Source{
 			"stream-ends": func() trace.Source { return short.Cursor() },
 			"panics":      func() trace.Source { return &panicSource{src: full.Cursor(), at: failAt} },
@@ -355,7 +357,7 @@ func TestSpanErrors(t *testing.T) {
 					if !strings.HasPrefix(err.Error(), "wpar: span 2: ") {
 						t.Fatalf("workers=%d: error does not name the lowest failing span 2: %v", workers, err)
 					}
-					if c == "panics" && !strings.Contains(err.Error(), "panic: stream position 45000") {
+					if c == "panics" && !strings.Contains(err.Error(), fmt.Sprintf("panic: stream position %d", failAt)) {
 						t.Fatalf("workers=%d: panic not reported: %v", workers, err)
 					}
 					if first == "" {
@@ -617,7 +619,7 @@ func TestPlan(t *testing.T) {
 // the identity anchor every other invariance test leans on.
 func TestSegmentsOneMatchesSerial(t *testing.T) {
 	cfg := fullCfg()
-	a, prog := testArena(t, "crypto01", 60_000)
+	a, prog := testArena(t, "crypto01", 120_000)
 
 	serial, err := sim.Run(cfg, a.Cursor(), prog, "crypto01")
 	if err != nil {
@@ -643,7 +645,7 @@ func TestMoreSegmentsThanInsts(t *testing.T) {
 	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 5
 	a, prog := testArena(t, "crypto01", 2_005)
 	r, err := wpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-		wpar.Options{Segments: 64, Workers: 4, Warm: testWarm()})
+		wpar.Options{Segments: 64, Workers: 4})
 	if err != nil {
 		t.Fatalf("clamped run failed: %v", err)
 	}
